@@ -15,7 +15,7 @@ use cohesion::config::{DesignPoint, DirectoryVariant, MachineConfig};
 use cohesion::report::RunReport;
 use cohesion::run::run_workload;
 use cohesion_kernels::{Scale, KERNEL_NAMES};
-use cohesion_sim::metrics::Snapshot;
+use cohesion_sim::metrics::{json_escape, Snapshot};
 use cohesion_sim::timeline::{TimelineSnapshot, Track};
 use cohesion_testkit::pool;
 
@@ -343,17 +343,16 @@ pub fn design_label(dp: DesignPoint) -> String {
 /// `(label, snapshot-json)` pairs (pre-sorted by the caller). Pure, so
 /// tests can check determinism without touching the filesystem.
 pub fn metrics_document(binary: &str, opts: &Options, runs: &[(String, String)]) -> String {
-    let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let scale = match opts.scale {
         Scale::Tiny => "tiny",
         Scale::Small => "small",
         Scale::Medium => "medium",
     };
-    let kernels: Vec<String> = opts.kernels.iter().map(|k| format!("\"{}\"", esc(k))).collect();
+    let kernels: Vec<String> = opts.kernels.iter().map(|k| format!("\"{}\"", json_escape(k))).collect();
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"schema\": \"cohesion-metrics/v1\",\n");
-    out.push_str(&format!("  \"binary\": \"{}\",\n", esc(binary)));
+    out.push_str(&format!("  \"binary\": \"{}\",\n", json_escape(binary)));
     // `jobs` and `shards` are deliberately absent: the document must be
     // byte-identical at any worker or shard count.
     // A zero seed (the paper's pinned inputs) is omitted so documents
@@ -373,7 +372,7 @@ pub fn metrics_document(binary: &str, opts: &Options, runs: &[(String, String)])
         let comma = if i + 1 < runs.len() { "," } else { "" };
         out.push_str(&format!(
             "    {{\"label\": \"{}\", \"metrics\": {json}}}{comma}\n",
-            esc(label)
+            json_escape(label)
         ));
     }
     out.push_str("  ]\n}\n");
@@ -397,17 +396,16 @@ pub fn timeline_summary_path(trace_path: &str) -> String {
 /// a zero seed is elided, because the summary must be byte-identical at
 /// any worker or shard count.
 pub fn timeline_document(binary: &str, opts: &Options, runs: &[(String, String)]) -> String {
-    let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let scale = match opts.scale {
         Scale::Tiny => "tiny",
         Scale::Small => "small",
         Scale::Medium => "medium",
     };
-    let kernels: Vec<String> = opts.kernels.iter().map(|k| format!("\"{}\"", esc(k))).collect();
+    let kernels: Vec<String> = opts.kernels.iter().map(|k| format!("\"{}\"", json_escape(k))).collect();
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"schema\": \"cohesion-timeline/v1\",\n");
-    out.push_str(&format!("  \"binary\": \"{}\",\n", esc(binary)));
+    out.push_str(&format!("  \"binary\": \"{}\",\n", json_escape(binary)));
     let seed = if opts.seed != 0 {
         format!(", \"seed\": {}", opts.seed)
     } else {
@@ -423,7 +421,7 @@ pub fn timeline_document(binary: &str, opts: &Options, runs: &[(String, String)]
         let comma = if i + 1 < runs.len() { "," } else { "" };
         out.push_str(&format!(
             "    {{\"label\": \"{}\", \"timeline\": {json}}}{comma}\n",
-            esc(label)
+            json_escape(label)
         ));
     }
     out.push_str("  ]\n}\n");
@@ -451,7 +449,6 @@ pub fn trace_tid(track: Track) -> u64 {
 /// `ph:"M"` metadata. Events are sorted by `(pid, tid, ts, dur)` so
 /// every track's timestamps are monotonic.
 pub fn chrome_trace(runs: &[(String, TimelineSnapshot)]) -> String {
-    let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     // (pid, tid, ts, sort-tiebreak, rendered event) — metadata first.
     let mut events: Vec<(u64, u64, u64, u64, String)> = Vec::new();
     for (pid, (label, snap)) in runs.iter().enumerate() {
@@ -464,7 +461,7 @@ pub fn chrome_trace(runs: &[(String, TimelineSnapshot)]) -> String {
             format!(
                 "{{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": 0, \
                  \"args\": {{\"name\": \"{}\"}}}}",
-                esc(label)
+                json_escape(label)
             ),
         ));
         let mut tracks: Vec<(u64, String)> = Vec::new();

@@ -37,11 +37,14 @@ use cohesion_sim::link::Throttle;
 use cohesion_sim::metrics::{Registry, Snapshot};
 use cohesion_sim::msg::MessageClass;
 use cohesion_sim::stats::{CoherenceInstrStats, MessageCounts};
-use cohesion_sim::timeline::EscalationCause;
+use cohesion_sim::timeline::{EscalationCause, LaneTimeline};
+use cohesion_sim::tracelog::TraceLog;
 use cohesion_sim::Cycle;
+use std::convert::Infallible;
 
 use crate::config::MachineConfig;
 use crate::noc::{LaneNoc, Noc};
+use crate::profile::RegionProfiler;
 
 /// A coherence error surfaced by the machine (these are *simulated-program*
 /// failures the harness turns into test failures, not simulator bugs).
@@ -97,27 +100,12 @@ pub struct Machine {
     cfg: MachineConfig,
     map: AddressMap,
     processes: Vec<ProcessCtx>,
-    mode: CohMode,
 
     /// Backing memory (holds real data, including the fine-grain table).
     pub mem: MainMemory,
 
-    // Per-core L1s.
-    l1i: Vec<Cache>,
-    l1d: Vec<Cache>,
-    // Per-cluster L2s.
-    l2: Vec<Cache>,
-    l2_ports: Vec<Throttle>,
-    l2_msgs: Vec<MessageCounts>,
-    instr_stats: Vec<CoherenceInstrStats>,
-    // Per-bank L3 + directory.
-    l3: Vec<Cache>,
-    l3_ports: Vec<Throttle>,
-    dirs: Option<Vec<DirectoryBank>>,
-    /// Optional dedicated fine-grain-table cache per bank (§3.4 suggests
-    /// the dense table is "amenable to on-die caching"; `None` = the
-    /// paper's base design, caching table lines in the L3 itself).
-    table_cache: Option<Vec<Cache>>,
+    clusters: Vec<ClusterState>,
+    banks: Vec<BankState>,
 
     noc: Noc,
     dram: Dram,
@@ -136,6 +124,50 @@ pub struct Machine {
     /// Shard-epoch flight recorder. Disarmed (every record call a
     /// single branch) unless [`MachineConfig::timeline`] is set.
     timeline: cohesion_sim::timeline::Timeline,
+}
+
+/// One cluster's private state: its cores' L1s, its L2 and L2 port, and
+/// its counters — exactly what a phase-A lane owns of its cluster.
+#[derive(Debug, Clone)]
+pub(crate) struct ClusterState {
+    /// The cluster's cores' L1 instruction caches, by core within the
+    /// cluster ([`locate`]).
+    l1i: Vec<Cache>,
+    /// The cluster's cores' write-through L1 data caches, same order.
+    l1d: Vec<Cache>,
+    l2: Cache,
+    l2_port: Throttle,
+    /// L2 output messages, by class.
+    msgs: MessageCounts,
+    /// SWcc coherence-instruction counters.
+    instr: CoherenceInstrStats,
+}
+
+/// One L3 bank with its port, collocated directory slice, and table
+/// cache.
+#[derive(Debug, Clone)]
+pub(crate) struct BankState {
+    l3: Cache,
+    port: Throttle,
+    /// The directory slice (`None` at the SWcc design point).
+    dir: Option<DirectoryBank>,
+    /// Optional dedicated fine-grain-table cache (§3.4 suggests the
+    /// dense table is "amenable to on-die caching"; `None` = the paper's
+    /// base design, caching table lines in the L3 itself).
+    table_cache: Option<Cache>,
+}
+
+/// `core`'s cluster, and its index within that cluster's L1 vectors.
+fn locate(core: CoreId, cores_per_cluster: u32) -> (ClusterId, usize) {
+    (core.cluster(cores_per_cluster), (core.0 % cores_per_cluster) as usize)
+}
+
+/// `(hits, misses, evictions)` summed over `caches`.
+fn cache_stats<'a>(caches: impl Iterator<Item = &'a Cache>) -> (u64, u64, u64) {
+    caches.fold((0, 0, 0), |(h, m, e), c| {
+        let (ch, cm, ce) = c.stats();
+        (h + ch, m + cm, e + ce)
+    })
 }
 
 /// Parses a `COHESION_WATCH` value: a hexadecimal byte address, with or
@@ -185,11 +217,10 @@ impl Machine {
         let map = cfg.address_map();
         let clusters = cfg.clusters();
         let mode = cfg.design.mode;
-        let dirs = cfg
-            .design
-            .directory
-            .to_config(clusters)
-            .map(|dc| (0..cfg.l3_banks).map(|_| DirectoryBank::new(dc)).collect());
+        let dir = cfg.design.directory.to_config(clusters);
+        let table_cache = (cfg.table_cache_bytes > 0 && mode == CohMode::Cohesion)
+            .then(|| cohesion_mem::cache::CacheConfig::new(cfg.table_cache_bytes, 4));
+        let cpc = cfg.cores_per_cluster;
         let processes = layouts
             .into_iter()
             .map(|layout| {
@@ -210,28 +241,25 @@ impl Machine {
         Machine {
             map,
             processes,
-            mode,
             mem: MainMemory::new(),
-            l1i: (0..cfg.cores).map(|_| Cache::new(cfg.l1i)).collect(),
-            l1d: (0..cfg.cores).map(|_| Cache::new(cfg.l1d)).collect(),
-            l2: (0..clusters).map(|_| Cache::new(cfg.l2)).collect(),
-            l2_ports: (0..clusters).map(|_| Throttle::new(cfg.l2_ports)).collect(),
-            l2_msgs: (0..clusters).map(|_| MessageCounts::new()).collect(),
-            instr_stats: (0..clusters).map(|_| CoherenceInstrStats::new()).collect(),
-            l3: (0..cfg.l3_banks)
-                .map(|_| Cache::new(cfg.l3_bank_cache()))
+            clusters: (0..clusters)
+                .map(|_| ClusterState {
+                    l1i: (0..cpc).map(|_| Cache::new(cfg.l1i)).collect(),
+                    l1d: (0..cpc).map(|_| Cache::new(cfg.l1d)).collect(),
+                    l2: Cache::new(cfg.l2),
+                    l2_port: Throttle::new(cfg.l2_ports),
+                    msgs: MessageCounts::new(),
+                    instr: CoherenceInstrStats::new(),
+                })
                 .collect(),
-            l3_ports: (0..cfg.l3_banks).map(|_| Throttle::new(cfg.l3_ports)).collect(),
-            dirs,
-            table_cache: if cfg.table_cache_bytes > 0 && mode == CohMode::Cohesion {
-                Some(
-                    (0..cfg.l3_banks)
-                        .map(|_| Cache::new(cohesion_mem::cache::CacheConfig::new(cfg.table_cache_bytes, 4)))
-                        .collect(),
-                )
-            } else {
-                None
-            },
+            banks: (0..cfg.l3_banks)
+                .map(|_| BankState {
+                    l3: Cache::new(cfg.l3_bank_cache()),
+                    port: Throttle::new(cfg.l3_ports),
+                    dir: dir.map(DirectoryBank::new),
+                    table_cache: table_cache.map(Cache::new),
+                })
+                .collect(),
             noc: Noc::new(cfg.noc, clusters, cfg.l3_banks),
             dram: Dram::new(cfg.dram, map),
             races: Vec::new(),
@@ -294,21 +322,13 @@ impl Machine {
         self.timeline.snapshot()
     }
 
-    /// The process context owning `addr`, if any (processes own their
-    /// slices; the tables themselves belong to their process).
-    fn process_of(&self, addr: Addr) -> Option<&ProcessCtx> {
-        self.processes
-            .iter()
-            .find(|p| p.layout.owns(addr) || p.fine.covers(addr))
-    }
-
     /// Boot-time table setup (§3.4/§3.5): the bootstrap core zeroes the
     /// fine-grain table (all HWcc) and the runtime then marks the incoherent
     /// heap SWcc, so `coh_malloc` allocations are born SWcc. Performed as
     /// part of application load, before timing starts. Call after installing
     /// the initial memory image.
     pub fn boot(&mut self) {
-        if self.mode != CohMode::Cohesion {
+        if self.cfg.design.mode != CohMode::Cohesion {
             return;
         }
         for pi in 0..self.processes.len() {
@@ -339,20 +359,6 @@ impl Machine {
     /// Current per-region profile totals.
     pub fn profile_snapshot(&self) -> Vec<crate::profile::RegionFeedback> {
         self.profiler.snapshot()
-    }
-
-    fn note_msg(&mut self, cluster: ClusterId, line: LineAddr, class: MessageClass, t: Cycle) {
-        self.l2_msgs[cluster.0 as usize].record(class);
-        self.metrics.sample_add("messages", t, 1);
-        if !self.profiler.is_empty() {
-            self.profiler.note_message(line, class);
-        }
-    }
-
-    fn trace_kind(&mut self, t: Cycle, line: LineAddr, kind: &'static str, what: std::fmt::Arguments<'_>) {
-        if self.tracelog.wants(line.0) {
-            self.tracelog.record(t, line.0, kind, what.to_string());
-        }
     }
 
     /// The machine's configuration.
@@ -390,86 +396,13 @@ impl Machine {
 
     /// The fine-grain table of whichever process owns `addr`, if any.
     pub fn fine_table_for(&self, addr: Addr) -> Option<&FineTable> {
-        self.process_of(addr).map(|p| &p.fine)
+        process_of(&self.processes, addr).map(|p| &p.fine)
     }
 
     /// Current coherence domain of a line, as the hardware would resolve it
     /// (coarse table, then fine table; HWcc default).
     pub fn domain_of(&self, line: LineAddr) -> Domain {
-        resolve_domain(self.mode, &self.processes, &self.mem, line)
-    }
-
-    fn classify(&self, line: LineAddr) -> EntryClass {
-        match self.process_of(line.base()) {
-            Some(p) => p.layout.classify(line.base()),
-            None => EntryClass::HeapGlobal,
-        }
-    }
-
-    fn bank_of(&self, line: LineAddr) -> BankId {
-        BankId(self.map.bank_of(line))
-    }
-
-    // ------------------------------------------------------------------
-    // L3-side helpers (functional data + analytic timing)
-    // ------------------------------------------------------------------
-
-    /// Reads a full line at the L3: hit serves from the bank, miss fetches
-    /// from DRAM and allocates. Advances `t` by the access time.
-    fn l3_read_line(&mut self, bank: BankId, line: LineAddr, t: &mut Cycle) -> [u32; WORDS_PER_LINE] {
-        let b = bank.0 as usize;
-        if let Some(l) = self.l3[b].access(line) {
-            return l.data;
-        }
-        // Miss: fetch from memory.
-        let data = self.mem.read_line(line);
-        let svc = self.timeline.start();
-        *t = self.dram.access(*t, line).max(*t);
-        self.timeline.service("dram_service", svc, *t);
-        let (fresh, victim) = self.l3[b].allocate(line);
-        fresh.fill_masked(&data, 0xff);
-        if let Some(v) = victim {
-            self.l3_spill(v, *t);
-        }
-        data
-    }
-
-    /// Writes `mask`ed words into the L3 image of `line` (writeback merge).
-    /// On an L3 miss the words write through to memory (no allocate on
-    /// partial writebacks).
-    fn l3_write_words(
-        &mut self,
-        bank: BankId,
-        line: LineAddr,
-        data: &[u32; WORDS_PER_LINE],
-        mask: u8,
-        t: Cycle,
-    ) {
-        if mask == 0 {
-            return;
-        }
-        let b = bank.0 as usize;
-        if let Some(l) = self.l3[b].access(line) {
-            for (i, &word) in data.iter().enumerate() {
-                if mask & (1 << i) != 0 {
-                    l.data[i] = word;
-                    l.valid_words |= 1 << i;
-                    l.dirty_words |= 1 << i;
-                }
-            }
-        } else {
-            self.mem.write_line_masked(line, data, mask);
-            // Posted write: charge DRAM bandwidth, do not block the caller.
-            self.dram.posted_write(t, line);
-        }
-    }
-
-    /// Spills an evicted L3 line to memory at cycle `t` (posted write).
-    fn l3_spill(&mut self, v: EvictedLine, t: Cycle) {
-        if v.dirty_words != 0 {
-            self.mem.write_line_masked(v.addr, &v.data, v.dirty_words);
-            self.dram.posted_write(t, v.addr);
-        }
+        resolve_domain(self, line)
     }
 
     /// Atomic read-modify-write of one word at the L3 (write-through to
@@ -484,384 +417,24 @@ impl Machine {
     ) -> (u32, u32) {
         let line = addr.line();
         let w = addr.word_index();
-        let data = self.l3_read_line(bank, line, t);
+        let mut data = l3_read_line(self, bank, line, t);
         let old = data[w];
-        let new = kind.apply(old, operand);
-        let mask = 1u8 << w;
-        let b = bank.0 as usize;
-        if let Some(l) = self.l3[b].access(line) {
-            l.data[w] = new;
-            l.valid_words |= mask;
-            l.dirty_words |= mask;
-        }
-        self.mem.write_word(addr, new);
+        data[w] = kind.apply(old, operand);
+        // The read left the line L3-resident, so this merge hits.
+        l3_write_words(self, bank, line, &data, 1 << w, *t);
+        self.mem.write_word(addr, data[w]);
         *t += 1; // RMW turnaround at the bank
-        (old, new)
+        (old, data[w])
     }
 
     // ------------------------------------------------------------------
-    // Probes (directory -> L2)
-    // ------------------------------------------------------------------
-
-    /// Sends a probe to `target` for `line`; applies the effect to the L2
-    /// and returns the cycle the response reaches the bank.
-    ///
-    /// `invalidate` selects invalidation (vs. downgrade-to-Shared). Dirty
-    /// data found in the L2 is written back into the L3. The response is
-    /// counted as a [`MessageClass::ProbeResponse`] from the target cluster.
-    ///
-    /// Ordinary directory probes ignore incoherent (SWcc) lines — they are
-    /// invisible to the protocol (§3.4). The SWcc⇒HWcc transition's
-    /// broadcast *clean request* must act on them, so it probes with
-    /// `include_incoherent`.
-    fn probe(
-        &mut self,
-        bank: BankId,
-        target: ClusterId,
-        line: LineAddr,
-        invalidate: bool,
-        t: Cycle,
-    ) -> Cycle {
-        self.probe_with(bank, target, line, invalidate, false, t)
-    }
-
-    fn probe_with(
-        &mut self,
-        bank: BankId,
-        target: ClusterId,
-        line: LineAddr,
-        invalidate: bool,
-        include_incoherent: bool,
-        t: Cycle,
-    ) -> Cycle {
-        let t_at_l2 = self.noc.reply(bank, target, t);
-        let tc = target.0 as usize;
-        let mut wb: Option<([u32; WORDS_PER_LINE], u8)> = None;
-        if let Some(l) = self.l2[tc].peek_mut(line) {
-            if !l.incoherent || include_incoherent {
-                if l.dirty_words != 0 {
-                    wb = Some((l.data, l.dirty_words));
-                    l.dirty_words = 0;
-                }
-                if invalidate {
-                    self.l2[tc].invalidate(line);
-                    self.back_invalidate_l1(target, line);
-                } else {
-                    l.state = HwState::Shared;
-                }
-            }
-        }
-        if let Some((data, mask)) = wb {
-            self.l3_write_words(bank, line, &data, mask, t_at_l2);
-        }
-        self.trace_kind(t, line, "probe", format_args!(
-            "{target} inv={invalidate} wb={:?}", wb.map(|(_, m)| m)
-        ));
-        self.note_msg(target, line, MessageClass::ProbeResponse, t_at_l2);
-        self.noc.request(target, bank, t_at_l2)
-    }
-
-    /// Invalidates `line` in the L1Ds of every core of `cluster`.
-    fn back_invalidate_l1(&mut self, cluster: ClusterId, line: LineAddr) {
-        for core in cluster.cores(self.cfg.cores_per_cluster) {
-            self.l1d[core.0 as usize].invalidate(line);
-        }
-    }
-
-    /// Handles a directory capacity/conflict eviction: all sharers of the
-    /// victim entry are invalidated (dirty data written back). Returns the
-    /// completion cycle.
-    fn directory_eviction(
-        &mut self,
-        bank: BankId,
-        vline: LineAddr,
-        ventry: DirEntry,
-        t: Cycle,
-    ) -> Cycle {
-        let clusters = self.cfg.clusters();
-        let mut done = t;
-        for target in ventry.sharers.probe_targets(clusters) {
-            done = done.max(self.probe(bank, target, vline, true, t));
-        }
-        done
-    }
-
-    // ------------------------------------------------------------------
-    // The central line-fetch transaction
-    // ------------------------------------------------------------------
-
-    /// Fetches `line` for `cluster` (`exclusive` for stores needing M).
-    /// Returns `(reply_arrival, data, grant)`: the granted HWcc state
-    /// ([`HwState::Shared`], [`HwState::Exclusive`] under the MESI
-    /// ablation, or [`HwState::Modified`]), or `None` for an incoherent
-    /// (SWcc) response — the reply's incoherent bit (§3.4).
-    fn fetch_line(
-        &mut self,
-        cluster: ClusterId,
-        line: LineAddr,
-        exclusive: bool,
-        class: MessageClass,
-        t_issue: Cycle,
-    ) -> (Cycle, [u32; WORDS_PER_LINE], Option<HwState>) {
-        self.trace_kind(t_issue, line, "fetch", format_args!(
-            "by {cluster} excl={exclusive} {class:?}"
-        ));
-        self.note_msg(cluster, line, class, t_issue);
-        let svc = self.timeline.start();
-        let bank = self.bank_of(line);
-        let t_arr = self.noc.request(cluster, bank, t_issue);
-        let mut t = self.l3_ports[bank.0 as usize].grant(t_arr) + self.cfg.l3_latency;
-
-        let grant = if self.dirs.is_some() {
-            self.resolve_with_directory(cluster, bank, line, exclusive, &mut t)
-        } else {
-            None // SWcc design point: everything is software-managed
-        };
-
-        let data = self.l3_read_line(bank, line, &mut t);
-        let t_reply = self.noc.reply(bank, cluster, t);
-        self.metrics.record_latency("latency/fetch", t_reply - t_issue);
-        self.timeline.service("l3_service", svc, t_issue);
-        (t_reply, data, grant)
-    }
-
-    /// Directory-side resolution for a fetch. Returns the granted HWcc
-    /// state, or `None` for an incoherent (SWcc) response. Advances `t`
-    /// past any probe/table activity.
-    fn resolve_with_directory(
-        &mut self,
-        requester: ClusterId,
-        bank: BankId,
-        line: LineAddr,
-        exclusive: bool,
-        t: &mut Cycle,
-    ) -> Option<HwState> {
-        let clusters = self.cfg.clusters();
-        let tracking = self
-            .dirs
-            .as_ref()
-            .expect("caller checked")[bank.0 as usize]
-            .config()
-            .tracking;
-
-        let hit = self.dirs.as_mut().expect("present")[bank.0 as usize]
-            .lookup(line)
-            .is_some();
-        self.metrics.inc(if hit {
-            "directory/lookup_hits"
-        } else {
-            "directory/lookup_misses"
-        });
-        if hit {
-            // HWcc path: MSI at the home bank.
-            let (state, targets) = {
-                let e = self.dirs.as_mut().expect("present")[bank.0 as usize]
-                    .lookup(line)
-                    .expect("just hit");
-                let targets: Vec<ClusterId> = e
-                    .sharers
-                    .probe_targets(clusters)
-                    .into_iter()
-                    .filter(|&c| c != requester)
-                    .collect();
-                (e.state, targets)
-            };
-            let t0 = *t;
-            let mut probes_done = *t;
-            if exclusive {
-                // Invalidate every other holder (writeback if modified).
-                for target in targets {
-                    probes_done = probes_done.max(self.probe(bank, target, line, true, t0));
-                }
-                let e = self.dirs.as_mut().expect("present")[bank.0 as usize]
-                    .lookup(line)
-                    .expect("still present");
-                e.state = DirState::Modified;
-                e.sharers = cohesion_protocol::sharers::SharerSet::empty(tracking, clusters);
-                e.sharers.add(requester, tracking);
-            } else {
-                if state == DirState::Modified && targets.is_empty() {
-                    // The requester already owns the line and is fetching
-                    // words its partial copy lacks (possible after a
-                    // case-3b transition upgraded a partial SWcc line):
-                    // ownership is retained, no downgrade.
-                    *t = probes_done;
-                    return Some(HwState::Modified);
-                }
-                if state == DirState::Modified {
-                    // Demand writeback + downgrade from the owner (this is
-                    // also the E->S downgrade cost the paper's MSI choice
-                    // avoids for read-shared data; §3.2).
-                    for target in targets {
-                        probes_done = probes_done.max(self.probe(bank, target, line, false, t0));
-                    }
-                }
-                let e = self.dirs.as_mut().expect("present")[bank.0 as usize]
-                    .lookup(line)
-                    .expect("still present");
-                e.state = if state == DirState::Modified {
-                    DirState::Shared
-                } else {
-                    state
-                };
-                e.sharers.add(requester, tracking);
-            }
-            *t = probes_done;
-            return Some(if exclusive {
-                HwState::Modified
-            } else {
-                HwState::Shared
-            });
-        }
-
-        // Directory miss: consult the owning process's region tables (§3.4).
-        let proc = self
-            .process_of(line.base())
-            .map(|p| (p.coarse.lookup(line.base()).is_some(), p.fine));
-        let domain = match (self.mode, proc) {
-            (CohMode::HWcc, _) => Domain::HWcc,
-            (CohMode::SWcc, _) => Domain::SWcc,
-            // Outside every process slice (runtime scratch): HWcc default,
-            // no table to consult.
-            (CohMode::Cohesion, None) => Domain::HWcc,
-            (CohMode::Cohesion, Some((in_coarse, fine))) => {
-                if in_coarse {
-                    self.metrics.inc("table/coarse_hits");
-                    Domain::SWcc
-                } else {
-                    // Fine-grain lookup (§3.4): a minimum of one extra
-                    // cycle; the table word comes from the dedicated table
-                    // cache when configured, else from the L3 (and DRAM on
-                    // a miss).
-                    let slot = fine.slot_of(line);
-                    let tline = slot.word.line();
-                    let mut tt = *t + 1;
-                    let tc_hit = match self.table_cache.as_mut() {
-                        Some(tc) => tc[bank.0 as usize].access(tline).is_some(),
-                        None => false,
-                    };
-                    self.metrics.inc("table/fine_lookups");
-                    if tc_hit {
-                        self.metrics.inc("table/fine_cache_hits");
-                    }
-                    if !tc_hit {
-                        let _ = self.l3_read_line(bank, tline, &mut tt);
-                        if let Some(tc) = self.table_cache.as_mut() {
-                            let (fresh, _) = tc[bank.0 as usize].allocate(tline);
-                            fresh.valid_words = 0xff;
-                        }
-                    }
-                    *t = tt;
-                    // The slot is already in hand: read the table word
-                    // directly instead of re-running the tbloff hash.
-                    fine.domain_at(&self.mem, slot)
-                }
-            }
-        };
-        match domain {
-            Domain::SWcc => None,
-            Domain::HWcc => {
-                let class = self.classify(line);
-                // MESI ablation: an unshared read miss is granted Exclusive,
-                // which the directory tracks as owned (it cannot observe the
-                // silent E->M upgrade).
-                let grant = if exclusive {
-                    HwState::Modified
-                } else if self.cfg.exclusive_state {
-                    HwState::Exclusive
-                } else {
-                    HwState::Shared
-                };
-                let entry = match grant {
-                    HwState::Shared => DirEntry::shared(requester, tracking, clusters, class),
-                    _ => DirEntry::modified(requester, tracking, clusters, class),
-                };
-                let victim =
-                    self.dirs.as_mut().expect("present")[bank.0 as usize].insert(*t, line, entry);
-                if let Some((vline, ventry)) = victim {
-                    let done = self.directory_eviction(bank, vline, ventry, *t);
-                    *t = (*t).max(done);
-                }
-                Some(grant)
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Core-visible operations
+    // Core-visible operations (bodies: see "Memory operations" below)
     // ------------------------------------------------------------------
 
     /// Performs a load; returns `(completion_cycle, value)`.
     pub fn load(&mut self, core: CoreId, addr: Addr, t: Cycle) -> (Cycle, u32) {
-        let cluster = core.cluster(self.cfg.cores_per_cluster);
-        let line = addr.line();
-        let w = addr.word_index();
-
-        // L1D.
-        if let Some(l) = self.l1d[core.0 as usize].access(line) {
-            if l.word_valid(w) {
-                let v = l.data[w];
-                self.trace_kind(t, line, "load", format_args!("l1hit by {core} w{w} -> {v:#x}"));
-                return (t + 1, v);
-            }
-        }
-
-        // L2.
-        let c = cluster.0 as usize;
-        let mut t2 = self.l2_ports[c].grant(t + 1) + self.cfg.l2_latency;
-        let need_fetch = match self.l2[c].access(line) {
-            Some(l) if l.word_valid(w) => {
-                let v = l.data[w];
-                self.trace_kind(t2, line, "load", format_args!("l2hit by {core} w{w} -> {v:#x}"));
-                self.l1d_fill_word(core, line, w, v);
-                self.metrics.record_latency("latency/load", t2 - t);
-                return (t2, v);
-            }
-            Some(_) => true,  // partial line, word missing
-            None => true,
-        };
-        debug_assert!(need_fetch);
-
-        let (t_done, data, grant) =
-            self.fetch_line(cluster, line, false, MessageClass::ReadRequest, t2);
-        t2 = t_done;
-        let value;
-        match self.l2[c].peek_mut(line) {
-            Some(l) => {
-                l.fill_masked(&data, 0xff);
-                if grant.is_none() {
-                    l.incoherent = true;
-                }
-                value = l.data[w];
-            }
-            None => {
-                let (fresh, victim) = self.l2[c].allocate(line);
-                fresh.fill_masked(&data, 0xff);
-                fresh.incoherent = grant.is_none();
-                fresh.state = grant.unwrap_or(HwState::Shared);
-                value = fresh.data[w];
-                if let Some(v) = victim {
-                    self.handle_l2_eviction(cluster, v, t2);
-                }
-            }
-        }
-        self.trace_kind(t2, line, "load", format_args!("fill by {core} w{w} -> {value:#x}"));
-        self.l1d_fill_word(core, line, w, value);
-        self.metrics.record_latency("latency/load", t2 - t);
-        (t2, value)
-    }
-
-    fn l1d_fill_word(&mut self, core: CoreId, line: LineAddr, w: usize, value: u32) {
-        let l1 = &mut self.l1d[core.0 as usize];
-        if let Some(l) = l1.peek_mut(line) {
-            l.data[w] = value;
-            l.valid_words |= 1 << w;
-            return;
-        }
-        let (fresh, _victim) = l1.allocate(line);
-        fresh.data[w] = value;
-        fresh.valid_words = 1 << w;
-        // L1D is write-through: victims are always clean, drop silently.
+        let Ok(done) = load(self, core, addr, t);
+        done
     }
 
     /// Performs a store; returns the cycle at which the core may proceed.
@@ -875,129 +448,28 @@ impl Machine {
     /// misses costing a directory round trip (§4.5). SWcc stores
     /// write-allocate locally and complete immediately (§2.1).
     pub fn store(&mut self, core: CoreId, addr: Addr, value: u32, t: Cycle) -> Cycle {
-        let cluster = core.cluster(self.cfg.cores_per_cluster);
-        let line = addr.line();
-        let w = addr.word_index();
-        let c = cluster.0 as usize;
+        let Ok(done) = store(self, core, addr, value, t);
+        done
+    }
 
-        let t2 = self.l2_ports[c].grant(t + 1) + self.cfg.l2_latency;
+    /// Executes the SWcc flush (writeback) instruction for `line`.
+    /// Non-blocking: the dirty words travel to the L3 off the critical path.
+    pub fn flush(&mut self, core: CoreId, line: LineAddr, t: Cycle) -> Cycle {
+        let Ok(done) = flush(self, core, line, t);
+        done
+    }
 
-        enum Action {
-            WriteNow,
-            Upgrade,
-            MissSw,
-            MissHw,
-        }
-        let action = match self.l2[c].access(line) {
-            Some(l) => {
-                if l.state == HwState::Exclusive {
-                    // The silent E->M upgrade the MESI ablation buys.
-                    l.state = HwState::Modified;
-                    Action::WriteNow
-                } else if l.incoherent || l.state == HwState::Modified {
-                    Action::WriteNow
-                } else {
-                    Action::Upgrade
-                }
-            }
-            None => match self.domain_of(line) {
-                Domain::SWcc => Action::MissSw,
-                Domain::HWcc => Action::MissHw,
-            },
-        };
+    /// Executes the SWcc invalidate instruction for `line`. Local only; no
+    /// message is ever sent (§2.1).
+    pub fn invalidate(&mut self, core: CoreId, line: LineAddr, t: Cycle) -> Cycle {
+        let Ok(done) = invalidate(self, core, line, t);
+        done
+    }
 
-        self.trace_kind(t2, line, "store", format_args!("by {core} w{w} val={value:#x}"));
-        let t_done = match action {
-            Action::WriteNow => {
-                self.l2[c]
-                    .peek_mut(line)
-                    .expect("hit")
-                    .write_word(w, value);
-                t2
-            }
-            Action::Upgrade => {
-                // Shared -> Modified: ownership request to the directory;
-                // the store retires into the store buffer while it travels.
-                let (_t3, _data, grant) =
-                    self.fetch_line(cluster, line, true, MessageClass::WriteRequest, t2);
-                let l = self.l2[c].peek_mut(line).expect("still present");
-                debug_assert!(grant.is_some());
-                l.state = HwState::Modified;
-                l.write_word(w, value);
-                t2 + 1
-            }
-            Action::MissSw => {
-                if self.cfg.word_granular_swcc {
-                    // SWcc write-allocate: no fill, no message (§2.1) —
-                    // per-word valid bits make the partial line legal.
-                    let (fresh, victim) = self.l2[c].allocate(line);
-                    fresh.incoherent = true;
-                    fresh.write_word(w, value);
-                    if let Some(v) = victim {
-                        self.handle_l2_eviction(cluster, v, t2);
-                    }
-                } else {
-                    // Ablation: without per-word bits the line must be
-                    // fetched before it can be partially written.
-                    let (t3, data, _grant) =
-                        self.fetch_line(cluster, line, false, MessageClass::ReadRequest, t2);
-                    match self.l2[c].peek_mut(line) {
-                        Some(l) => {
-                            l.fill_masked(&data, 0xff);
-                            l.incoherent = true;
-                            l.write_word(w, value);
-                        }
-                        None => {
-                            let (fresh, victim) = self.l2[c].allocate(line);
-                            fresh.fill_masked(&data, 0xff);
-                            fresh.incoherent = true;
-                            fresh.write_word(w, value);
-                            if let Some(v) = victim {
-                                self.handle_l2_eviction(cluster, v, t3);
-                            }
-                        }
-                    }
-                }
-                t2
-            }
-            Action::MissHw => {
-                let (t3, data, grant) =
-                    self.fetch_line(cluster, line, true, MessageClass::WriteRequest, t2);
-                debug_assert!(grant.is_some(), "fine table and L2 state disagree");
-                match self.l2[c].peek_mut(line) {
-                    Some(l) => {
-                        l.fill_masked(&data, 0xff);
-                        l.state = HwState::Modified;
-                        l.write_word(w, value);
-                    }
-                    None => {
-                        let (fresh, victim) = self.l2[c].allocate(line);
-                        fresh.fill_masked(&data, 0xff);
-                        fresh.state = HwState::Modified;
-                        fresh.write_word(w, value);
-                        if let Some(v) = victim {
-                            self.handle_l2_eviction(cluster, v, t3);
-                        }
-                    }
-                }
-                // Non-blocking: the core proceeds past the buffered store.
-                t2 + 1
-            }
-        };
-
-        // L1D write-through update: the split-phase cluster bus lets every
-        // sibling L1D snoop the store, so all cluster-local copies of the
-        // word are updated (the L1s are kept consistent *within* a cluster
-        // by the bus; the inter-cluster protocol is the L2's job).
-        for sibling in cluster.cores(self.cfg.cores_per_cluster) {
-            if let Some(l) = self.l1d[sibling.0 as usize].peek_mut(line) {
-                if l.word_valid(w) {
-                    l.data[w] = value;
-                }
-            }
-        }
-        self.metrics.record_latency("latency/store", t_done - t);
-        t_done
+    /// Instruction fetch of the line at `addr` (code).
+    pub fn ifetch(&mut self, core: CoreId, addr: Addr, t: Cycle) -> Cycle {
+        let Ok(done) = ifetch(self, core, addr, t);
+        done
     }
 
     /// Performs an uncached atomic; returns `(completion_cycle, old_value)`.
@@ -1014,29 +486,29 @@ impl Machine {
         t: Cycle,
     ) -> Result<(Cycle, u32), MachineError> {
         let line = addr.line();
-        self.note_msg(cluster, line, MessageClass::UncachedAtomic, t);
+        note_msg(self, cluster, line, MessageClass::UncachedAtomic, t);
         let bank = self.bank_of(line);
         let t_arr = self.noc.request(cluster, bank, t);
-        let mut tb = self.l3_ports[bank.0 as usize].grant(t_arr) + self.cfg.l3_latency;
+        let home = &mut self.banks[bank.0 as usize];
+        let mut tb = home.port.grant(t_arr) + self.cfg.l3_latency;
 
         // If the line is HWcc-cached anywhere, recall it first: the atomic
         // must operate on the latest value at the L3.
-        if self.dirs.is_some() {
-            let entry = self.dirs.as_mut().expect("present")[bank.0 as usize].remove(tb, line);
-            if let Some(e) = entry {
-                let done = self.directory_eviction(bank, line, e, tb);
+        if let Some(dir) = home.dir.as_mut() {
+            if let Some(e) = dir.remove(tb, line) {
+                let done = directory_eviction(self, bank, line, e, tb);
                 tb = tb.max(done);
             }
         }
 
         let (old, new) = self.l3_rmw(bank, addr, kind, operand, &mut tb);
-        self.trace_kind(tb, line, "atomic", format_args!(
+        trace_kind(self, tb, line, "atomic", format_args!(
             "by {cluster} {kind:?} w{} {old:#x}->{new:#x}", addr.word_index()
         ));
 
         // Directory snoop of the fine-grain tables (§3.6) — per-process
         // tables each cover their own snooped range (§3.5).
-        if self.mode == CohMode::Cohesion {
+        if self.cfg.design.mode == CohMode::Cohesion {
             let fine = self
                 .processes
                 .iter()
@@ -1075,14 +547,14 @@ impl Machine {
     ) -> Result<Cycle, MachineError> {
         debug_assert_eq!(self.bank_of(line), bank, "transition at the wrong home bank");
         let clusters = self.cfg.clusters();
-        self.trace_kind(t, line, "transition", format_args!("to {to:?}"));
+        trace_kind(self, t, line, "transition", format_args!("to {to:?}"));
         let mut done = t;
         self.metrics.sample_add("transitions", t, 1);
         match to {
             Domain::SWcc => {
                 self.transitions_to_sw += 1;
                 let case = classify_hw_to_sw(
-                    self.dirs.as_ref().and_then(|d| d[bank.0 as usize].peek(line)),
+                    self.banks[bank.0 as usize].dir.as_ref().and_then(|d| d.peek(line)),
                     clusters,
                 );
                 self.metrics.inc(match case {
@@ -1090,24 +562,19 @@ impl Machine {
                     HwToSw::Case2aShared { .. } => "transition/case_2a_shared",
                     HwToSw::Case3aModified { .. } => "transition/case_3a_modified",
                 });
-                match case {
-                    HwToSw::Case1aUntracked => {}
-                    HwToSw::Case2aShared { sharers } => {
-                        for s in sharers {
-                            done = done.max(self.probe(bank, s, line, true, t));
-                        }
-                        self.dirs.as_mut().expect("present")[bank.0 as usize].remove(t, line);
+                // Invalidate every holder (pulling dirty data out), then
+                // drop the entry.
+                let holders = match case {
+                    HwToSw::Case1aUntracked => None,
+                    HwToSw::Case2aShared { sharers } => Some(sharers),
+                    HwToSw::Case3aModified { owner: Some(o) } => Some(vec![o]),
+                    HwToSw::Case3aModified { owner: None } => Some((0..clusters).map(ClusterId).collect()),
+                };
+                if let Some(holders) = holders {
+                    for s in holders {
+                        done = done.max(probe(self, bank, s, line, true, false, t));
                     }
-                    HwToSw::Case3aModified { owner } => {
-                        let targets = match owner {
-                            Some(o) => vec![o],
-                            None => (0..clusters).map(ClusterId).collect(),
-                        };
-                        for o in targets {
-                            done = done.max(self.probe(bank, o, line, true, t));
-                        }
-                        self.dirs.as_mut().expect("present")[bank.0 as usize].remove(t, line);
-                    }
+                    dir(self, bank).remove(t, line);
                 }
             }
             Domain::HWcc => {
@@ -1118,7 +585,7 @@ impl Machine {
                 for c in 0..clusters {
                     let target = ClusterId(c);
                     let t_at_l2 = self.noc.reply(bank, target, t);
-                    let view = match self.l2[c as usize].peek(line) {
+                    let view = match self.clusters[c as usize].l2.peek(line) {
                         Some(l) if l.incoherent => L2View {
                             cluster: target,
                             valid_words: l.valid_words,
@@ -1131,14 +598,12 @@ impl Machine {
                         },
                     };
                     views.push(view);
-                    self.note_msg(target, line, MessageClass::ProbeResponse, t_at_l2);
+                    note_msg(self, target, line, MessageClass::ProbeResponse, t_at_l2);
                     t_views = t_views.max(self.noc.request(target, bank, t_at_l2));
                 }
                 done = done.max(t_views);
-                let tracking = self.dirs.as_ref().expect("present")[bank.0 as usize]
-                    .config()
-                    .tracking;
-                let class = self.classify(line);
+                let tracking = dir(self, bank).config().tracking;
+                let class = classify(&self.processes, line);
                 let case = classify_sw_to_hw(&views);
                 self.metrics.inc(match case {
                     SwToHw::Case1bNotPresent => "transition/case_1b_not_present",
@@ -1155,21 +620,21 @@ impl Machine {
                             entry.sharers.add(s, tracking);
                         }
                         for s in sharers {
-                            let l = self.l2[s.0 as usize].peek_mut(line).expect("clean holder");
+                            let l = self.clusters[s.0 as usize].l2.peek_mut(line).expect("clean holder");
                             l.incoherent = false;
                             l.state = HwState::Shared;
                         }
-                        self.insert_entry_with_eviction(bank, line, entry, &mut done);
+                        insert_entry(self, bank, line, entry, &mut done);
                     }
                     SwToHw::Case3bSingleDirty { owner, readers } => {
                         for r in readers {
-                            done = done.max(self.probe_with(bank, r, line, true, true, t));
+                            done = done.max(probe(self, bank, r, line, true, true, t));
                         }
-                        let l = self.l2[owner.0 as usize].peek_mut(line).expect("owner");
+                        let l = self.clusters[owner.0 as usize].l2.peek_mut(line).expect("owner");
                         l.incoherent = false;
                         l.state = HwState::Modified;
                         let entry = DirEntry::modified(owner, tracking, clusters, class);
-                        self.insert_entry_with_eviction(bank, line, entry, &mut done);
+                        insert_entry(self, bank, line, entry, &mut done);
                     }
                     SwToHw::Case4bMultiDirtyDisjoint { writers, readers } => {
                         done = self.merge_writers(bank, line, &writers, &readers, t, done);
@@ -1206,27 +671,10 @@ impl Machine {
                 },
                 done - t,
             );
-            let occ: u64 = self
-                .dirs
-                .as_ref()
-                .map_or(0, |d| d.iter().map(|b| b.occupancy()).sum());
+            let occ = self.dir_occupancy();
             self.metrics.sample_max("dir_occupancy", done, occ);
         }
         Ok(done)
-    }
-
-    fn insert_entry_with_eviction(
-        &mut self,
-        bank: BankId,
-        line: LineAddr,
-        entry: DirEntry,
-        done: &mut Cycle,
-    ) {
-        let victim =
-            self.dirs.as_mut().expect("present")[bank.0 as usize].insert(*done, line, entry);
-        if let Some((vline, ventry)) = victim {
-            *done = (*done).max(self.directory_eviction(bank, vline, ventry, *done));
-        }
     }
 
     /// Case 4b/5b: demand writebacks from every writer (merged at the L3 by
@@ -1242,150 +690,18 @@ impl Machine {
         mut done: Cycle,
     ) -> Cycle {
         for &wcl in writers {
-            let c = wcl.0 as usize;
             let t_at_l2 = self.noc.reply(bank, wcl, t);
-            if let Some(ev) = self.l2[c].invalidate(line) {
-                self.l3_write_words(bank, line, &ev.data, ev.dirty_words, t_at_l2);
+            if let Some(ev) = self.clusters[wcl.0 as usize].l2.invalidate(line) {
+                l3_write_words(self, bank, line, &ev.data, ev.dirty_words, t_at_l2);
             }
-            self.back_invalidate_l1(wcl, line);
-            self.note_msg(wcl, line, MessageClass::ProbeResponse, t_at_l2);
+            back_invalidate_l1(self, wcl, line);
+            note_msg(self, wcl, line, MessageClass::ProbeResponse, t_at_l2);
             done = done.max(self.noc.request(wcl, bank, t_at_l2));
         }
         for &r in readers {
-            done = done.max(self.probe_with(bank, r, line, true, true, t));
+            done = done.max(probe(self, bank, r, line, true, true, t));
         }
         done
-    }
-
-    /// Executes the SWcc flush (writeback) instruction for `line`.
-    /// Non-blocking: the dirty words travel to the L3 off the critical path.
-    pub fn flush(&mut self, core: CoreId, line: LineAddr, t: Cycle) -> Cycle {
-        let cluster = core.cluster(self.cfg.cores_per_cluster);
-        let c = cluster.0 as usize;
-        let t2 = self.l2_ports[c].grant(t + 1);
-        self.instr_stats[c].writebacks_issued += 1;
-        // The flush instruction only applies to SWcc lines: hardware-managed
-        // lines are written back by the protocol, and letting user-level
-        // cache ops touch them would break the directory's bookkeeping.
-        let wb = match self.l2[c].peek_mut(line) {
-            Some(l) if l.incoherent && l.dirty_words != 0 => {
-                self.instr_stats[c].writebacks_useful += 1;
-                let data = l.data;
-                let mask = l.dirty_words;
-                l.clean();
-                Some((data, mask))
-            }
-            Some(_) | None => None,
-        };
-        if let Some((data, mask)) = wb {
-            self.note_msg(cluster, line, MessageClass::SoftwareFlush, t2);
-            let bank = self.bank_of(line);
-            let t_arr = self.noc.request(cluster, bank, t2);
-            self.l3_write_words(bank, line, &data, mask, t_arr);
-        }
-        t2 + 1
-    }
-
-    /// Executes the SWcc invalidate instruction for `line`. Local only; no
-    /// message is ever sent (§2.1).
-    pub fn invalidate(&mut self, core: CoreId, line: LineAddr, t: Cycle) -> Cycle {
-        let cluster = core.cluster(self.cfg.cores_per_cluster);
-        let c = cluster.0 as usize;
-        let t2 = self.l2_ports[c].grant(t + 1);
-        self.instr_stats[c].invalidations_issued += 1;
-        if !self.profiler.is_empty() {
-            self.profiler.note_invalidation(line);
-        }
-        // Like flush, the invalidate instruction only applies to SWcc lines:
-        // discarding a hardware-coherent (possibly Modified) line would
-        // violate the directory's guarantees, so the hardware ignores it.
-        if self.l2[c].peek(line).is_some_and(|l| l.incoherent) {
-            self.instr_stats[c].invalidations_useful += 1;
-            self.l2[c].invalidate(line);
-            self.back_invalidate_l1(cluster, line);
-        }
-        t2 + 1
-    }
-
-    /// Instruction fetch of the line at `addr` (code).
-    pub fn ifetch(&mut self, core: CoreId, addr: Addr, t: Cycle) -> Cycle {
-        let line = addr.line();
-        if self.l1i[core.0 as usize].access(line).is_some() {
-            return t; // overlapped with execution
-        }
-        let cluster = core.cluster(self.cfg.cores_per_cluster);
-        let c = cluster.0 as usize;
-        let mut t2 = self.l2_ports[c].grant(t + 1) + self.cfg.l2_latency;
-        let in_l2 = self.l2[c].access(line).is_some();
-        if !in_l2 {
-            let (t3, data, grant) =
-                self.fetch_line(cluster, line, false, MessageClass::InstructionRequest, t2);
-            t2 = t3;
-            if self.l2[c].peek(line).is_none() {
-                let (fresh, victim) = self.l2[c].allocate(line);
-                fresh.fill_masked(&data, 0xff);
-                fresh.incoherent = grant.is_none();
-                fresh.state = grant.unwrap_or(HwState::Shared);
-                if let Some(v) = victim {
-                    self.handle_l2_eviction(cluster, v, t2);
-                }
-            }
-        }
-        let (fresh, _) = match self.l1i[core.0 as usize].peek(line) {
-            Some(_) => return t2,
-            None => self.l1i[core.0 as usize].allocate(line),
-        };
-        fresh.valid_words = 0xff;
-        t2
-    }
-
-    /// Handles an L2 capacity/conflict eviction (§2.1/§3.4 semantics:
-    /// silent for clean SWcc lines, read release for clean HWcc lines,
-    /// writeback for dirty lines).
-    fn handle_l2_eviction(&mut self, cluster: ClusterId, v: EvictedLine, t: Cycle) {
-        self.trace_kind(t, v.addr, "evict", format_args!(
-            "from {cluster} dirty={:#x} inc={}", v.dirty_words, v.incoherent
-        ));
-        self.back_invalidate_l1(cluster, v.addr);
-        let bank = self.bank_of(v.addr);
-        if v.dirty_words != 0 {
-            self.note_msg(cluster, v.addr, MessageClass::CacheEviction, t);
-            let t_arr = self.noc.request(cluster, bank, t);
-            self.l3_write_words(bank, v.addr, &v.data, v.dirty_words, t_arr);
-            if !v.incoherent {
-                // The owner is gone; the directory deallocates the entry.
-                if let Some(dirs) = self.dirs.as_mut() {
-                    dirs[bank.0 as usize].remove(t, v.addr);
-                }
-            }
-        } else if !v.incoherent {
-            if self.cfg.silent_evictions {
-                // Ablation: drop the clean line without telling the
-                // directory. The sharer set goes stale; future coherence
-                // actions probe caches that no longer hold the line and the
-                // entry lingers until a capacity eviction reclaims it —
-                // the cost structure §2.1/§3.2 describe.
-                return;
-            }
-            // Clean HWcc line: silent evictions are not supported — a read
-            // release informs the directory (§2.1).
-            self.note_msg(cluster, v.addr, MessageClass::ReadRelease, t);
-            let t_arr = self.noc.request(cluster, bank, t);
-            if let Some(dirs) = self.dirs.as_mut() {
-                let bank_dir = &mut dirs[bank.0 as usize];
-                let empty = match bank_dir.lookup(v.addr) {
-                    Some(e) => {
-                        e.sharers.remove(cluster);
-                        e.sharers.is_empty()
-                    }
-                    None => false,
-                };
-                if empty {
-                    bank_dir.remove(t_arr, v.addr);
-                }
-            }
-        }
-        // Clean SWcc line: dropped silently, no message (§2.1).
     }
 
     // ------------------------------------------------------------------
@@ -1398,7 +714,7 @@ impl Machine {
     ///
     /// Panics for an unknown cluster.
     pub fn messages_of(&self, cluster: ClusterId) -> &MessageCounts {
-        &self.l2_msgs[cluster.0 as usize]
+        &self.clusters[cluster.0 as usize].msgs
     }
 
     /// SWcc coherence-instruction counters of one cluster.
@@ -1407,14 +723,14 @@ impl Machine {
     ///
     /// Panics for an unknown cluster.
     pub fn instr_stats_of(&self, cluster: ClusterId) -> &CoherenceInstrStats {
-        &self.instr_stats[cluster.0 as usize]
+        &self.clusters[cluster.0 as usize].instr
     }
 
     /// Sum of all L2 output messages, by class.
     pub fn total_messages(&self) -> MessageCounts {
         let mut total = MessageCounts::new();
-        for m in &self.l2_msgs {
-            total.merge(m);
+        for c in &self.clusters {
+            total.merge(&c.msgs);
         }
         total
     }
@@ -1422,8 +738,8 @@ impl Machine {
     /// Aggregate SWcc coherence-instruction usefulness counters.
     pub fn coherence_instr_stats(&self) -> CoherenceInstrStats {
         let mut total = CoherenceInstrStats::new();
-        for s in &self.instr_stats {
-            total.merge(s);
+        for c in &self.clusters {
+            total.merge(&c.instr);
         }
         total
     }
@@ -1434,13 +750,11 @@ impl Machine {
         let mut avg = 0.0;
         let mut max = 0;
         let mut by_class = [0.0; 3];
-        if let Some(dirs) = &self.dirs {
-            for d in dirs {
-                avg += d.average_occupancy(end);
-                max += d.max_occupancy();
-                for (i, class) in EntryClass::ALL.iter().enumerate() {
-                    by_class[i] += d.average_occupancy_of(*class, end);
-                }
+        for d in self.dirs() {
+            avg += d.average_occupancy(end);
+            max += d.max_occupancy();
+            for (i, class) in EntryClass::ALL.iter().enumerate() {
+                by_class[i] += d.average_occupancy_of(*class, end);
             }
         }
         (avg, max, by_class)
@@ -1448,13 +762,10 @@ impl Machine {
 
     /// `(insertions, capacity evictions)` summed over directory banks.
     pub fn directory_churn(&self) -> (u64, u64) {
-        match &self.dirs {
-            Some(dirs) => dirs.iter().fold((0, 0), |(i, e), d| {
-                let (di, de) = d.churn();
-                (i + di, e + de)
-            }),
-            None => (0, 0),
-        }
+        self.dirs().fold((0, 0), |(i, e), d| {
+            let (di, de) = d.churn();
+            (i + di, e + de)
+        })
     }
 
     /// Detected case-5b races.
@@ -1502,10 +813,7 @@ impl Machine {
         if self.metrics.is_armed() {
             let total = self.total_messages().total();
             self.metrics.mark("barrier/messages", now, total);
-            let occ: u64 = self
-                .dirs
-                .as_ref()
-                .map_or(0, |d| d.iter().map(|b| b.occupancy()).sum());
+            let occ = self.dir_occupancy();
             self.metrics.mark("barrier/dir_occupancy", now, occ);
         }
     }
@@ -1538,7 +846,8 @@ impl Machine {
 
         // Per-cluster message breakdown (the Figure 2/8 taxonomy, but per
         // cluster instead of machine-wide).
-        for (c, m) in self.l2_msgs.iter().enumerate() {
+        for (c, cluster) in self.clusters.iter().enumerate() {
+            let m = &cluster.msgs;
             s.push_counter(format!("cluster/{c:03}/messages_total"), m.total());
             for (class, n) in m.iter() {
                 if n > 0 {
@@ -1546,8 +855,8 @@ impl Machine {
                 }
             }
         }
-        for (c, p) in self.l2_ports.iter().enumerate() {
-            s.push_counter(format!("cluster/{c:03}/l2_port_grants"), p.grants());
+        for (c, cluster) in self.clusters.iter().enumerate() {
+            s.push_counter(format!("cluster/{c:03}/l2_port_grants"), cluster.l2_port.grants());
         }
         let instr = self.coherence_instr_stats();
         s.push_counter("swcc/invalidations_issued", instr.invalidations_issued);
@@ -1556,27 +865,23 @@ impl Machine {
         s.push_counter("swcc/writebacks_useful", instr.writebacks_useful);
 
         // Per-L3-bank occupancy/traffic breakdown.
-        for (b, l3) in self.l3.iter().enumerate() {
-            let (hits, misses, evictions) = l3.stats();
+        for (b, bank) in self.banks.iter().enumerate() {
+            let (hits, misses, evictions) = bank.l3.stats();
             s.push_counter(format!("bank/{b:03}/l3_hits"), hits);
             s.push_counter(format!("bank/{b:03}/l3_misses"), misses);
             s.push_counter(format!("bank/{b:03}/l3_evictions"), evictions);
-            s.push_counter(format!("bank/{b:03}/port_grants"), self.l3_ports[b].grants());
+            s.push_counter(format!("bank/{b:03}/port_grants"), bank.port.grants());
         }
-        if let Some(dirs) = &self.dirs {
-            for (b, d) in dirs.iter().enumerate() {
-                s.push_gauge(format!("bank/{b:03}/dir_avg_occupancy"), d.average_occupancy(end));
-                s.push_counter(format!("bank/{b:03}/dir_max_occupancy"), d.max_occupancy());
-                let (ins, ev) = d.churn();
-                s.push_counter(format!("bank/{b:03}/dir_insertions"), ins);
-                s.push_counter(format!("bank/{b:03}/dir_evictions"), ev);
-            }
+        for (b, d) in self.dirs().enumerate() {
+            s.push_gauge(format!("bank/{b:03}/dir_avg_occupancy"), d.average_occupancy(end));
+            s.push_counter(format!("bank/{b:03}/dir_max_occupancy"), d.max_occupancy());
+            let (ins, ev) = d.churn();
+            s.push_counter(format!("bank/{b:03}/dir_insertions"), ins);
+            s.push_counter(format!("bank/{b:03}/dir_evictions"), ev);
         }
-        if let Some(tcs) = &self.table_cache {
-            let (hits, misses, evictions) = tcs.iter().fold((0, 0, 0), |(h, m, e), c| {
-                let (ch, cm, ce) = c.stats();
-                (h + ch, m + cm, e + ce)
-            });
+        if self.banks.iter().any(|b| b.table_cache.is_some()) {
+            let (hits, misses, evictions) =
+                cache_stats(self.banks.iter().filter_map(|b| b.table_cache.as_ref()));
             s.push_counter("table_cache/hits", hits);
             s.push_counter("table_cache/misses", misses);
             s.push_counter("table_cache/evictions", evictions);
@@ -1611,18 +916,23 @@ impl Machine {
 
     /// Aggregate L3 `(hits, misses, evictions)`.
     pub fn l3_stats(&self) -> (u64, u64, u64) {
-        self.l3.iter().fold((0, 0, 0), |(h, m, e), c| {
-            let (ch, cm, ce) = c.stats();
-            (h + ch, m + cm, e + ce)
-        })
+        cache_stats(self.banks.iter().map(|b| &b.l3))
     }
 
     /// Aggregate L2 `(hits, misses, evictions)`.
     pub fn l2_stats(&self) -> (u64, u64, u64) {
-        self.l2.iter().fold((0, 0, 0), |(h, m, e), c| {
-            let (ch, cm, ce) = c.stats();
-            (h + ch, m + cm, e + ce)
-        })
+        cache_stats(self.clusters.iter().map(|c| &c.l2))
+    }
+
+    /// The directory slices, in bank order (none at the SWcc design
+    /// point).
+    fn dirs(&self) -> impl Iterator<Item = &DirectoryBank> {
+        self.banks.iter().filter_map(|b| b.dir.as_ref())
+    }
+
+    /// Directory entries allocated right now, summed over banks.
+    fn dir_occupancy(&self) -> u64 {
+        self.dirs().map(|d| d.occupancy()).sum()
     }
 
     /// Flushes every dirty line in the L2s and L3s down to backing memory,
@@ -1631,16 +941,9 @@ impl Machine {
     /// result.
     pub fn drain_for_verification(&mut self) {
         // L3 first (older data), then L2 (newest writes win).
-        for bank in &mut self.l3 {
-            for l in bank.iter_lines_mut() {
-                if l.dirty_words != 0 {
-                    self.mem.write_line_masked(l.addr, &l.data, l.dirty_words);
-                    l.clean();
-                }
-            }
-        }
-        for l2 in &mut self.l2 {
-            for l in l2.iter_lines_mut() {
+        let l3s = self.banks.iter_mut().map(|b| &mut b.l3);
+        for cache in l3s.chain(self.clusters.iter_mut().map(|c| &mut c.l2)) {
+            for l in cache.iter_lines_mut() {
                 if l.dirty_words != 0 {
                     self.mem.write_line_masked(l.addr, &l.data, l.dirty_words);
                     l.clean();
@@ -1701,22 +1004,20 @@ impl Machine {
             }
         }
         (self.domain_of(line) == Domain::SWcc).hash(h);
-        for c in &self.l1d {
+        for c in self.clusters.iter().flat_map(|c| &c.l1d) {
             cache_view(c, line, h);
         }
-        for c in &self.l2 {
+        for c in &self.clusters {
+            cache_view(&c.l2, line, h);
+        }
+        for b in &self.banks {
+            cache_view(&b.l3, line, h);
+        }
+        for c in self.banks.iter().filter_map(|b| b.table_cache.as_ref()) {
             cache_view(c, line, h);
         }
-        for c in &self.l3 {
-            cache_view(c, line, h);
-        }
-        if let Some(tcs) = &self.table_cache {
-            for c in tcs {
-                cache_view(c, line, h);
-            }
-        }
-        if let Some(dirs) = &self.dirs {
-            match dirs[self.map.bank_of(line) as usize].peek(line) {
+        if let Some(dir) = &self.banks[self.map.bank_of(line) as usize].dir {
+            match dir.peek(line) {
                 None => 0u8.hash(h),
                 Some(e) => {
                     1u8.hash(h);
@@ -1742,15 +1043,19 @@ impl Machine {
     /// Panics (with a description) on the first violated invariant. Intended
     /// for tests; O(total cached lines).
     pub fn check_invariants(&self) {
-        let Some(dirs) = &self.dirs else { return };
-        for (c, l2) in self.l2.iter().enumerate() {
-            for line in l2.iter_lines() {
+        if self.dirs().next().is_none() {
+            return;
+        }
+        for (c, cluster) in self.clusters.iter().enumerate() {
+            for line in cluster.l2.iter_lines() {
                 if line.incoherent {
                     continue;
                 }
                 let bank = self.map.bank_of(line.addr) as usize;
-                let entry = dirs[bank]
-                    .peek(line.addr)
+                let entry = self.banks[bank]
+                    .dir
+                    .as_ref()
+                    .and_then(|d| d.peek(line.addr))
                     .unwrap_or_else(|| panic!("HWcc line {} in {} untracked", line.addr, c));
                 assert!(
                     entry.sharers.may_contain(ClusterId(c as u32)),
@@ -1773,8 +1078,8 @@ impl Machine {
         // Cohesion exclusivity: a line the fine-grain table calls SWcc must
         // never be directory-tracked (transitions are serialized at the
         // home bank, so outside a transition this is exact).
-        if self.mode == CohMode::Cohesion {
-            for d in dirs.iter() {
+        if self.cfg.design.mode == CohMode::Cohesion {
+            for d in self.dirs() {
                 for (line, _) in d.iter() {
                     assert_eq!(
                         self.domain_of(line),
@@ -1784,7 +1089,7 @@ impl Machine {
                 }
             }
         }
-        for (b, d) in dirs.iter().enumerate() {
+        for (b, d) in self.dirs().enumerate() {
             for (line, entry) in d.iter() {
                 if entry.state == DirState::Modified && !entry.sharers.is_broadcast() {
                     let holders = entry
@@ -1792,7 +1097,8 @@ impl Machine {
                         .probe_targets(self.cfg.clusters())
                         .into_iter()
                         .filter(|cl| {
-                            self.l2[cl.0 as usize]
+                            self.clusters[cl.0 as usize]
+                                .l2
                                 .peek(line)
                                 .map(|l| !l.incoherent)
                                 .unwrap_or(false)
@@ -1809,27 +1115,891 @@ impl Machine {
 }
 
 // ----------------------------------------------------------------------
-// Sharded execution: per-cluster lanes
+// Resource ownership: what an operation body may touch
 // ----------------------------------------------------------------------
 
-/// Resolves the coherence domain of `line` from borrowed machine parts.
-/// This is [`Machine::domain_of`] in free-function form so a [`LaneCtx`]
-/// (which holds only its lane's slices plus shared read-only state) can
-/// call it too.
-fn resolve_domain(
-    mode: CohMode,
-    processes: &[ProcessCtx],
-    mem: &MainMemory,
+/// A core-visible memory access, as presented to [`Owner::admit`] before
+/// its body runs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Access {
+    /// A data load (also a stack load).
+    Load(CoreId, Addr),
+    /// A data store (also a stack store).
+    Store(Addr),
+    /// An instruction fetch.
+    Ifetch(CoreId, Addr),
+    /// The SWcc flush instruction.
+    Flush(LineAddr),
+    /// The SWcc invalidate instruction.
+    Invalidate,
+}
+
+/// Why an operation did not complete on an [`Owner`].
+#[derive(Debug)]
+pub(crate) enum Halt<E> {
+    /// The operation needs a resource the owner does not hold; nothing
+    /// was mutated, so an owner that holds it can run it from scratch.
+    Escalate(E),
+    /// A simulated-program failure.
+    Fail(MachineError),
+}
+
+/// The resources a memory-operation body runs against. Every operation
+/// — load, store, ifetch, flush, invalidate, and the line fetch,
+/// directory resolution, and L2-eviction handling beneath them — is
+/// written once below, generic over this trait. Two owners exist:
+///
+/// * [`Machine`] owns every resource and never escalates
+///   (`Escalation = Infallible`, so the admission checks compile away);
+/// * [`LaneCtx`] owns one cluster plus the L3 banks (with directory
+///   slices and table caches) and direct links its [`BankOwnership`]
+///   share gives it. Its [`Owner::admit`] decides with pure peeks
+///   whether the operation stays inside that share; the body only runs
+///   if it does, and every accessor for a resource the lane does not own
+///   is `unreachable!`.
+pub(crate) trait Owner {
+    /// Why an access escalates instead of running here.
+    type Escalation;
+
+    /// Decides, with zero mutations, whether `access` can run on this
+    /// owner's resources.
+    fn admit(&self, access: Access) -> Result<(), Self::Escalation>;
+
+    /// The machine configuration.
+    fn cfg(&self) -> &MachineConfig;
+    /// The process contexts (layouts and region tables).
+    fn processes(&self) -> &[ProcessCtx];
+    /// Backing memory, read-only.
+    fn mem(&self) -> &MainMemory;
+    /// The home bank of `line`.
+    fn bank_of(&self, line: LineAddr) -> BankId;
+
+    /// Cluster `cluster`'s private state.
+    fn cluster(&mut self, cluster: ClusterId) -> &mut ClusterState;
+    /// L3 bank `bank` with its directory slice.
+    fn bank(&mut self, bank: BankId) -> &mut BankState;
+
+    /// Sends one request `cluster` → `bank`; returns its arrival cycle.
+    fn request(&mut self, cluster: ClusterId, bank: BankId, t: Cycle) -> Cycle;
+    /// Sends one reply/probe `bank` → `cluster`; returns its arrival cycle.
+    fn reply(&mut self, bank: BankId, cluster: ClusterId, t: Cycle) -> Cycle;
+    /// Reads `line` from DRAM at `t`; returns the data and the ready cycle.
+    fn dram_fill(&mut self, line: LineAddr, t: Cycle) -> ([u32; WORDS_PER_LINE], Cycle);
+    /// Writes `mask`ed words of `line` through to DRAM (posted at `t`).
+    fn dram_write(&mut self, line: LineAddr, data: &[u32; WORDS_PER_LINE], mask: u8, t: Cycle);
+    /// An uncached atomic at the home bank.
+    fn atomic(
+        &mut self,
+        cluster: ClusterId,
+        addr: Addr,
+        kind: AtomicKind,
+        operand: u32,
+        t: Cycle,
+    ) -> Result<(Cycle, u32), Halt<Self::Escalation>>;
+
+    /// The telemetry registry accesses record into.
+    fn metrics(&mut self) -> &mut Registry;
+    /// The protocol event log.
+    fn tracelog(&mut self) -> Option<&mut TraceLog>;
+    /// The region profiler, when profiling is on.
+    fn profiler(&mut self) -> Option<&mut RegionProfiler>;
+    /// Starts an `l3_service` wall-clock span (`None` when disarmed).
+    fn span_start(&self) -> Option<u64>;
+    /// Closes an `l3_service` span begun by [`Owner::span_start`].
+    fn l3_served(&mut self, start: Option<u64>, t_issue: Cycle);
+}
+
+impl Owner for Machine {
+    type Escalation = Infallible;
+
+    #[inline(always)]
+    fn admit(&self, _access: Access) -> Result<(), Infallible> {
+        Ok(())
+    }
+
+    fn cfg(&self) -> &MachineConfig {
+        &self.cfg
+    }
+
+    fn processes(&self) -> &[ProcessCtx] {
+        &self.processes
+    }
+
+    fn mem(&self) -> &MainMemory {
+        &self.mem
+    }
+
+    fn bank_of(&self, line: LineAddr) -> BankId {
+        BankId(self.map.bank_of(line))
+    }
+
+    fn cluster(&mut self, cluster: ClusterId) -> &mut ClusterState {
+        &mut self.clusters[cluster.0 as usize]
+    }
+
+    fn bank(&mut self, bank: BankId) -> &mut BankState {
+        &mut self.banks[bank.0 as usize]
+    }
+
+    fn request(&mut self, cluster: ClusterId, bank: BankId, t: Cycle) -> Cycle {
+        self.noc.request(cluster, bank, t)
+    }
+
+    fn reply(&mut self, bank: BankId, cluster: ClusterId, t: Cycle) -> Cycle {
+        self.noc.reply(bank, cluster, t)
+    }
+
+    fn dram_fill(&mut self, line: LineAddr, t: Cycle) -> ([u32; WORDS_PER_LINE], Cycle) {
+        let data = self.mem.read_line(line);
+        let svc = self.timeline.start();
+        let t = self.dram.access(t, line).max(t);
+        self.timeline.service("dram_service", svc, t);
+        (data, t)
+    }
+
+    fn dram_write(&mut self, line: LineAddr, data: &[u32; WORDS_PER_LINE], mask: u8, t: Cycle) {
+        self.mem.write_line_masked(line, data, mask);
+        // Posted write: charge DRAM bandwidth, do not block the caller.
+        self.dram.posted_write(t, line);
+    }
+
+    fn atomic(
+        &mut self,
+        cluster: ClusterId,
+        addr: Addr,
+        kind: AtomicKind,
+        operand: u32,
+        t: Cycle,
+    ) -> Result<(Cycle, u32), Halt<Infallible>> {
+        Machine::atomic(self, cluster, addr, kind, operand, t).map_err(Halt::Fail)
+    }
+
+    fn metrics(&mut self) -> &mut Registry {
+        &mut self.metrics
+    }
+
+    fn tracelog(&mut self) -> Option<&mut TraceLog> {
+        Some(&mut self.tracelog)
+    }
+
+    fn profiler(&mut self) -> Option<&mut RegionProfiler> {
+        (!self.profiler.is_empty()).then_some(&mut self.profiler)
+    }
+
+    fn span_start(&self) -> Option<u64> {
+        self.timeline.start()
+    }
+
+    fn l3_served(&mut self, start: Option<u64>, t_issue: Cycle) {
+        self.timeline.service("l3_service", start, t_issue);
+    }
+}
+
+// ----------------------------------------------------------------------
+// Memory operations: one body each, generic over the owner
+// ----------------------------------------------------------------------
+
+/// `bank`'s directory slice (the design point has a directory).
+fn dir<O: Owner>(o: &mut O, bank: BankId) -> &mut DirectoryBank {
+    o.bank(bank).dir.as_mut().expect("design has a directory")
+}
+
+fn note_msg<O: Owner>(o: &mut O, cluster: ClusterId, line: LineAddr, class: MessageClass, t: Cycle) {
+    o.cluster(cluster).msgs.record(class);
+    o.metrics().sample_add("messages", t, 1);
+    if let Some(p) = o.profiler() {
+        p.note_message(line, class);
+    }
+}
+
+fn trace_kind<O: Owner>(
+    o: &mut O,
+    t: Cycle,
     line: LineAddr,
-) -> Domain {
-    match mode {
+    kind: &'static str,
+    what: std::fmt::Arguments<'_>,
+) {
+    if let Some(log) = o.tracelog() {
+        if log.wants(line.0) {
+            log.record(t, line.0, kind, what.to_string());
+        }
+    }
+}
+
+/// Reads a full line at the L3: hit serves from the bank, miss fetches
+/// from DRAM and allocates. Advances `t` by the access time.
+fn l3_read_line<O: Owner>(
+    o: &mut O,
+    bank: BankId,
+    line: LineAddr,
+    t: &mut Cycle,
+) -> [u32; WORDS_PER_LINE] {
+    if let Some(l) = o.bank(bank).l3.access(line) {
+        return l.data;
+    }
+    // Miss: fetch from memory.
+    let (data, t_ready) = o.dram_fill(line, *t);
+    *t = t_ready;
+    let (fresh, victim) = o.bank(bank).l3.allocate(line);
+    fresh.fill_masked(&data, 0xff);
+    if let Some(v) = victim {
+        // Spill the evicted line (posted write).
+        if v.dirty_words != 0 {
+            o.dram_write(v.addr, &v.data, v.dirty_words, *t);
+        }
+    }
+    data
+}
+
+/// Writes `mask`ed words into the L3 image of `line` (writeback merge).
+/// On an L3 miss the words write through to memory (no allocate on
+/// partial writebacks).
+fn l3_write_words<O: Owner>(
+    o: &mut O,
+    bank: BankId,
+    line: LineAddr,
+    data: &[u32; WORDS_PER_LINE],
+    mask: u8,
+    t: Cycle,
+) {
+    if mask == 0 {
+        return;
+    }
+    match o.bank(bank).l3.access(line) {
+        Some(l) => {
+            for (i, &word) in data.iter().enumerate() {
+                if mask & (1 << i) != 0 {
+                    l.data[i] = word;
+                    l.valid_words |= 1 << i;
+                    l.dirty_words |= 1 << i;
+                }
+            }
+        }
+        None => o.dram_write(line, data, mask, t),
+    }
+}
+
+/// Sends a probe to `target` for `line`; applies the effect to the L2
+/// and returns the cycle the response reaches the bank.
+///
+/// `invalidate` selects invalidation (vs. downgrade-to-Shared). Dirty
+/// data found in the L2 is written back into the L3. The response is
+/// counted as a [`MessageClass::ProbeResponse`] from the target cluster.
+///
+/// Ordinary directory probes ignore incoherent (SWcc) lines — they are
+/// invisible to the protocol (§3.4). The SWcc⇒HWcc transition's
+/// broadcast *clean request* must act on them, so it probes with
+/// `include_incoherent`.
+fn probe<O: Owner>(
+    o: &mut O,
+    bank: BankId,
+    target: ClusterId,
+    line: LineAddr,
+    invalidate: bool,
+    include_incoherent: bool,
+    t: Cycle,
+) -> Cycle {
+    let t_at_l2 = o.reply(bank, target, t);
+    let mut wb: Option<([u32; WORDS_PER_LINE], u8)> = None;
+    if let Some(l) = o.cluster(target).l2.peek_mut(line) {
+        if !l.incoherent || include_incoherent {
+            if l.dirty_words != 0 {
+                wb = Some((l.data, l.dirty_words));
+                l.dirty_words = 0;
+            }
+            if invalidate {
+                o.cluster(target).l2.invalidate(line);
+                back_invalidate_l1(o, target, line);
+            } else {
+                l.state = HwState::Shared;
+            }
+        }
+    }
+    if let Some((data, mask)) = wb {
+        l3_write_words(o, bank, line, &data, mask, t_at_l2);
+    }
+    trace_kind(o, t, line, "probe", format_args!(
+        "{target} inv={invalidate} wb={:?}", wb.map(|(_, m)| m)
+    ));
+    note_msg(o, target, line, MessageClass::ProbeResponse, t_at_l2);
+    o.request(target, bank, t_at_l2)
+}
+
+/// Invalidates `line` in the L1Ds of every core of `cluster`.
+fn back_invalidate_l1<O: Owner>(o: &mut O, cluster: ClusterId, line: LineAddr) {
+    for l1 in o.cluster(cluster).l1d.iter_mut() {
+        l1.invalidate(line);
+    }
+}
+
+/// Handles a directory capacity/conflict eviction: all sharers of the
+/// victim entry are invalidated (dirty data written back). Returns the
+/// completion cycle.
+fn directory_eviction<O: Owner>(
+    o: &mut O,
+    bank: BankId,
+    vline: LineAddr,
+    ventry: DirEntry,
+    t: Cycle,
+) -> Cycle {
+    let clusters = o.cfg().clusters();
+    let mut done = t;
+    for target in ventry.sharers.probe_targets(clusters) {
+        done = done.max(probe(o, bank, target, vline, true, false, t));
+    }
+    done
+}
+
+/// Inserts a directory entry at `*t`; a capacity/conflict victim is
+/// evicted (its sharers invalidated), advancing `*t` past that.
+fn insert_entry<O: Owner>(o: &mut O, bank: BankId, line: LineAddr, entry: DirEntry, t: &mut Cycle) {
+    if let Some((vline, ventry)) = dir(o, bank).insert(*t, line, entry) {
+        let done = directory_eviction(o, bank, vline, ventry, *t);
+        *t = (*t).max(done);
+    }
+}
+
+/// Fetches `line` for `cluster` (`exclusive` for stores needing M) — the
+/// central line-fetch transaction. Returns `(reply_arrival, data,
+/// grant)`: the granted HWcc state ([`HwState::Shared`],
+/// [`HwState::Exclusive`] under the MESI ablation, or
+/// [`HwState::Modified`]), or `None` for an incoherent (SWcc) response —
+/// the reply's incoherent bit (§3.4).
+fn fetch_line<O: Owner>(
+    o: &mut O,
+    cluster: ClusterId,
+    line: LineAddr,
+    exclusive: bool,
+    class: MessageClass,
+    t_issue: Cycle,
+) -> (Cycle, [u32; WORDS_PER_LINE], Option<HwState>) {
+    trace_kind(o, t_issue, line, "fetch", format_args!(
+        "by {cluster} excl={exclusive} {class:?}"
+    ));
+    note_msg(o, cluster, line, class, t_issue);
+    let svc = o.span_start();
+    let bank = o.bank_of(line);
+    let t_arr = o.request(cluster, bank, t_issue);
+    let mut t = o.bank(bank).port.grant(t_arr) + o.cfg().l3_latency;
+
+    let grant = if o.bank(bank).dir.is_some() {
+        resolve_with_directory(o, cluster, bank, line, exclusive, &mut t)
+    } else {
+        None // SWcc design point: everything is software-managed
+    };
+
+    let data = l3_read_line(o, bank, line, &mut t);
+    let t_reply = o.reply(bank, cluster, t);
+    o.metrics().record_latency("latency/fetch", t_reply - t_issue);
+    o.l3_served(svc, t_issue);
+    (t_reply, data, grant)
+}
+
+/// Directory-side resolution for a fetch. Returns the granted HWcc
+/// state, or `None` for an incoherent (SWcc) response. Advances `t`
+/// past any probe/table activity.
+fn resolve_with_directory<O: Owner>(
+    o: &mut O,
+    requester: ClusterId,
+    bank: BankId,
+    line: LineAddr,
+    exclusive: bool,
+    t: &mut Cycle,
+) -> Option<HwState> {
+    let clusters = o.cfg().clusters();
+    let tracking = dir(o, bank).config().tracking;
+
+    let hit = dir(o, bank).lookup(line).is_some();
+    o.metrics().inc(if hit {
+        "directory/lookup_hits"
+    } else {
+        "directory/lookup_misses"
+    });
+    if hit {
+        // HWcc path: MSI at the home bank.
+        let (state, targets) = {
+            let e = dir(o, bank).lookup(line).expect("just hit");
+            let targets: Vec<ClusterId> = e
+                .sharers
+                .probe_targets(clusters)
+                .into_iter()
+                .filter(|&c| c != requester)
+                .collect();
+            (e.state, targets)
+        };
+        let t0 = *t;
+        let mut probes_done = *t;
+        if exclusive {
+            // Invalidate every other holder (writeback if modified).
+            for target in targets {
+                probes_done = probes_done.max(probe(o, bank, target, line, true, false, t0));
+            }
+            let e = dir(o, bank).lookup(line).expect("still present");
+            e.state = DirState::Modified;
+            e.sharers = cohesion_protocol::sharers::SharerSet::empty(tracking, clusters);
+            e.sharers.add(requester, tracking);
+        } else {
+            if state == DirState::Modified && targets.is_empty() {
+                // The requester already owns the line and is fetching
+                // words its partial copy lacks (possible after a
+                // case-3b transition upgraded a partial SWcc line):
+                // ownership is retained, no downgrade.
+                *t = probes_done;
+                return Some(HwState::Modified);
+            }
+            if state == DirState::Modified {
+                // Demand writeback + downgrade from the owner (this is
+                // also the E->S downgrade cost the paper's MSI choice
+                // avoids for read-shared data; §3.2).
+                for target in targets {
+                    probes_done = probes_done.max(probe(o, bank, target, line, false, false, t0));
+                }
+            }
+            let e = dir(o, bank).lookup(line).expect("still present");
+            e.state = if state == DirState::Modified {
+                DirState::Shared
+            } else {
+                state
+            };
+            e.sharers.add(requester, tracking);
+        }
+        *t = probes_done;
+        return Some(if exclusive {
+            HwState::Modified
+        } else {
+            HwState::Shared
+        });
+    }
+
+    // Directory miss: consult the owning process's region tables (§3.4).
+    let proc = process_of(o.processes(), line.base())
+        .map(|p| (p.coarse.lookup(line.base()).is_some(), p.fine));
+    let domain = match (o.cfg().design.mode, proc) {
+        (CohMode::HWcc, _) => Domain::HWcc,
+        (CohMode::SWcc, _) => Domain::SWcc,
+        // Outside every process slice (runtime scratch): HWcc default,
+        // no table to consult.
+        (CohMode::Cohesion, None) => Domain::HWcc,
+        (CohMode::Cohesion, Some((in_coarse, fine))) => {
+            if in_coarse {
+                o.metrics().inc("table/coarse_hits");
+                Domain::SWcc
+            } else {
+                // Fine-grain lookup (§3.4): a minimum of one extra
+                // cycle; the table word comes from the dedicated table
+                // cache when configured, else from the L3 (and DRAM on
+                // a miss).
+                let slot = fine.slot_of(line);
+                let tline = slot.word.line();
+                let mut tt = *t + 1;
+                let tc_hit = match &mut o.bank(bank).table_cache {
+                    Some(tc) => tc.access(tline).is_some(),
+                    None => false,
+                };
+                o.metrics().inc("table/fine_lookups");
+                if tc_hit {
+                    o.metrics().inc("table/fine_cache_hits");
+                }
+                if !tc_hit {
+                    let _ = l3_read_line(o, bank, tline, &mut tt);
+                    if let Some(tc) = &mut o.bank(bank).table_cache {
+                        let (fresh, _) = tc.allocate(tline);
+                        fresh.valid_words = 0xff;
+                    }
+                }
+                *t = tt;
+                // The slot is already in hand: read the table word
+                // directly instead of re-running the tbloff hash.
+                fine.domain_at(o.mem(), slot)
+            }
+        }
+    };
+    match domain {
+        Domain::SWcc => None,
+        Domain::HWcc => {
+            let class = classify(o.processes(), line);
+            // MESI ablation: an unshared read miss is granted Exclusive,
+            // which the directory tracks as owned (it cannot observe the
+            // silent E->M upgrade).
+            let grant = if exclusive {
+                HwState::Modified
+            } else if o.cfg().exclusive_state {
+                HwState::Exclusive
+            } else {
+                HwState::Shared
+            };
+            let entry = match grant {
+                HwState::Shared => DirEntry::shared(requester, tracking, clusters, class),
+                _ => DirEntry::modified(requester, tracking, clusters, class),
+            };
+            insert_entry(o, bank, line, entry, t);
+            Some(grant)
+        }
+    }
+}
+
+/// Performs a load; returns `(completion_cycle, value)`.
+pub(crate) fn load<O: Owner>(
+    o: &mut O,
+    core: CoreId,
+    addr: Addr,
+    t: Cycle,
+) -> Result<(Cycle, u32), O::Escalation> {
+    o.admit(Access::Load(core, addr))?;
+    let (cluster, li) = locate(core, o.cfg().cores_per_cluster);
+    let line = addr.line();
+    let w = addr.word_index();
+
+    // L1D.
+    if let Some(l) = o.cluster(cluster).l1d[li].access(line) {
+        if l.word_valid(w) {
+            let v = l.data[w];
+            trace_kind(o, t, line, "load", format_args!("l1hit by {core} w{w} -> {v:#x}"));
+            return Ok((t + 1, v));
+        }
+    }
+
+    // L2.
+    let mut t2 = o.cluster(cluster).l2_port.grant(t + 1) + o.cfg().l2_latency;
+    if let Some(l) = o.cluster(cluster).l2.access(line) {
+        if l.word_valid(w) {
+            let v = l.data[w];
+            trace_kind(o, t2, line, "load", format_args!("l2hit by {core} w{w} -> {v:#x}"));
+            l1d_fill_word(o, core, line, w, v);
+            o.metrics().record_latency("latency/load", t2 - t);
+            return Ok((t2, v));
+        }
+        // Partial line, word missing: fetch.
+    }
+
+    let (t_done, data, grant) = fetch_line(o, cluster, line, false, MessageClass::ReadRequest, t2);
+    t2 = t_done;
+    let value;
+    match o.cluster(cluster).l2.peek_mut(line) {
+        Some(l) => {
+            l.fill_masked(&data, 0xff);
+            if grant.is_none() {
+                l.incoherent = true;
+            }
+            value = l.data[w];
+        }
+        None => {
+            let (fresh, victim) = o.cluster(cluster).l2.allocate(line);
+            fresh.fill_masked(&data, 0xff);
+            fresh.incoherent = grant.is_none();
+            fresh.state = grant.unwrap_or(HwState::Shared);
+            value = fresh.data[w];
+            if let Some(v) = victim {
+                handle_l2_eviction(o, cluster, v, t2);
+            }
+        }
+    }
+    trace_kind(o, t2, line, "load", format_args!("fill by {core} w{w} -> {value:#x}"));
+    l1d_fill_word(o, core, line, w, value);
+    o.metrics().record_latency("latency/load", t2 - t);
+    Ok((t2, value))
+}
+
+fn l1d_fill_word<O: Owner>(o: &mut O, core: CoreId, line: LineAddr, w: usize, value: u32) {
+    let (cluster, li) = locate(core, o.cfg().cores_per_cluster);
+    let l1 = &mut o.cluster(cluster).l1d[li];
+    if let Some(l) = l1.peek_mut(line) {
+        l.data[w] = value;
+        l.valid_words |= 1 << w;
+        return;
+    }
+    let (fresh, _victim) = l1.allocate(line);
+    fresh.data[w] = value;
+    fresh.valid_words = 1 << w;
+    // L1D is write-through: victims are always clean, drop silently.
+}
+
+/// Performs a store; returns the cycle at which the core may proceed
+/// (see [`Machine::store`] for the non-blocking store model).
+pub(crate) fn store<O: Owner>(
+    o: &mut O,
+    core: CoreId,
+    addr: Addr,
+    value: u32,
+    t: Cycle,
+) -> Result<Cycle, O::Escalation> {
+    o.admit(Access::Store(addr))?;
+    let cluster = core.cluster(o.cfg().cores_per_cluster);
+    let line = addr.line();
+    let w = addr.word_index();
+
+    let t2 = o.cluster(cluster).l2_port.grant(t + 1) + o.cfg().l2_latency;
+
+    enum Action {
+        WriteNow,
+        Upgrade,
+        MissSw,
+        MissHw,
+    }
+    let action = match o.cluster(cluster).l2.access(line) {
+        Some(l) => {
+            if l.state == HwState::Exclusive {
+                // The silent E->M upgrade the MESI ablation buys.
+                l.state = HwState::Modified;
+                Action::WriteNow
+            } else if l.incoherent || l.state == HwState::Modified {
+                Action::WriteNow
+            } else {
+                Action::Upgrade
+            }
+        }
+        None => match resolve_domain(o, line) {
+            Domain::SWcc => Action::MissSw,
+            Domain::HWcc => Action::MissHw,
+        },
+    };
+
+    trace_kind(o, t2, line, "store", format_args!("by {core} w{w} val={value:#x}"));
+    let t_done = match action {
+        Action::WriteNow => {
+            o.cluster(cluster).l2
+                .peek_mut(line)
+                .expect("hit")
+                .write_word(w, value);
+            t2
+        }
+        Action::Upgrade => {
+            // Shared -> Modified: ownership request to the directory;
+            // the store retires into the store buffer while it travels.
+            let (_t3, _data, grant) =
+                fetch_line(o, cluster, line, true, MessageClass::WriteRequest, t2);
+            let l = o.cluster(cluster).l2.peek_mut(line).expect("still present");
+            debug_assert!(grant.is_some());
+            l.state = HwState::Modified;
+            l.write_word(w, value);
+            t2 + 1
+        }
+        Action::MissSw => {
+            if o.cfg().word_granular_swcc {
+                // SWcc write-allocate: no fill, no message (§2.1) —
+                // per-word valid bits make the partial line legal.
+                let (fresh, victim) = o.cluster(cluster).l2.allocate(line);
+                fresh.incoherent = true;
+                fresh.write_word(w, value);
+                if let Some(v) = victim {
+                    handle_l2_eviction(o, cluster, v, t2);
+                }
+            } else {
+                // Ablation: without per-word bits the line must be
+                // fetched before it can be partially written.
+                let (t3, data, _grant) =
+                    fetch_line(o, cluster, line, false, MessageClass::ReadRequest, t2);
+                match o.cluster(cluster).l2.peek_mut(line) {
+                    Some(l) => {
+                        l.fill_masked(&data, 0xff);
+                        l.incoherent = true;
+                        l.write_word(w, value);
+                    }
+                    None => {
+                        let (fresh, victim) = o.cluster(cluster).l2.allocate(line);
+                        fresh.fill_masked(&data, 0xff);
+                        fresh.incoherent = true;
+                        fresh.write_word(w, value);
+                        if let Some(v) = victim {
+                            handle_l2_eviction(o, cluster, v, t3);
+                        }
+                    }
+                }
+            }
+            t2
+        }
+        Action::MissHw => {
+            let (t3, data, grant) =
+                fetch_line(o, cluster, line, true, MessageClass::WriteRequest, t2);
+            debug_assert!(grant.is_some(), "fine table and L2 state disagree");
+            match o.cluster(cluster).l2.peek_mut(line) {
+                Some(l) => {
+                    l.fill_masked(&data, 0xff);
+                    l.state = HwState::Modified;
+                    l.write_word(w, value);
+                }
+                None => {
+                    let (fresh, victim) = o.cluster(cluster).l2.allocate(line);
+                    fresh.fill_masked(&data, 0xff);
+                    fresh.state = HwState::Modified;
+                    fresh.write_word(w, value);
+                    if let Some(v) = victim {
+                        handle_l2_eviction(o, cluster, v, t3);
+                    }
+                }
+            }
+            // Non-blocking: the core proceeds past the buffered store.
+            t2 + 1
+        }
+    };
+
+    // L1D write-through update: the split-phase cluster bus lets every
+    // sibling L1D snoop the store, so all cluster-local copies of the
+    // word are updated (the L1s are kept consistent *within* a cluster
+    // by the bus; the inter-cluster protocol is the L2's job).
+    for l1 in o.cluster(cluster).l1d.iter_mut() {
+        if let Some(l) = l1.peek_mut(line) {
+            if l.word_valid(w) {
+                l.data[w] = value;
+            }
+        }
+    }
+    o.metrics().record_latency("latency/store", t_done - t);
+    Ok(t_done)
+}
+
+/// Executes the SWcc flush (writeback) instruction for `line`.
+pub(crate) fn flush<O: Owner>(
+    o: &mut O,
+    core: CoreId,
+    line: LineAddr,
+    t: Cycle,
+) -> Result<Cycle, O::Escalation> {
+    o.admit(Access::Flush(line))?;
+    let cluster = core.cluster(o.cfg().cores_per_cluster);
+    let t2 = o.cluster(cluster).l2_port.grant(t + 1);
+    o.cluster(cluster).instr.writebacks_issued += 1;
+    // The flush instruction only applies to SWcc lines: hardware-managed
+    // lines are written back by the protocol, and letting user-level
+    // cache ops touch them would break the directory's bookkeeping.
+    let wb = match o.cluster(cluster).l2.peek_mut(line) {
+        Some(l) if l.incoherent && l.dirty_words != 0 => {
+            let data = l.data;
+            let mask = l.dirty_words;
+            l.clean();
+            Some((data, mask))
+        }
+        Some(_) | None => None,
+    };
+    if let Some((data, mask)) = wb {
+        o.cluster(cluster).instr.writebacks_useful += 1;
+        note_msg(o, cluster, line, MessageClass::SoftwareFlush, t2);
+        let bank = o.bank_of(line);
+        let t_arr = o.request(cluster, bank, t2);
+        l3_write_words(o, bank, line, &data, mask, t_arr);
+    }
+    Ok(t2 + 1)
+}
+
+/// Executes the SWcc invalidate instruction for `line`.
+pub(crate) fn invalidate<O: Owner>(
+    o: &mut O,
+    core: CoreId,
+    line: LineAddr,
+    t: Cycle,
+) -> Result<Cycle, O::Escalation> {
+    o.admit(Access::Invalidate)?;
+    let cluster = core.cluster(o.cfg().cores_per_cluster);
+    let t2 = o.cluster(cluster).l2_port.grant(t + 1);
+    o.cluster(cluster).instr.invalidations_issued += 1;
+    if let Some(p) = o.profiler() {
+        p.note_invalidation(line);
+    }
+    // Like flush, the invalidate instruction only applies to SWcc lines:
+    // discarding a hardware-coherent (possibly Modified) line would
+    // violate the directory's guarantees, so the hardware ignores it.
+    if o.cluster(cluster).l2.peek(line).is_some_and(|l| l.incoherent) {
+        o.cluster(cluster).instr.invalidations_useful += 1;
+        o.cluster(cluster).l2.invalidate(line);
+        back_invalidate_l1(o, cluster, line);
+    }
+    Ok(t2 + 1)
+}
+
+/// Instruction fetch of the line at `addr` (code).
+pub(crate) fn ifetch<O: Owner>(
+    o: &mut O,
+    core: CoreId,
+    addr: Addr,
+    t: Cycle,
+) -> Result<Cycle, O::Escalation> {
+    o.admit(Access::Ifetch(core, addr))?;
+    let (cluster, li) = locate(core, o.cfg().cores_per_cluster);
+    let line = addr.line();
+    if o.cluster(cluster).l1i[li].access(line).is_some() {
+        return Ok(t); // overlapped with execution
+    }
+    let mut t2 = o.cluster(cluster).l2_port.grant(t + 1) + o.cfg().l2_latency;
+    let in_l2 = o.cluster(cluster).l2.access(line).is_some();
+    if !in_l2 {
+        let (t3, data, grant) =
+            fetch_line(o, cluster, line, false, MessageClass::InstructionRequest, t2);
+        t2 = t3;
+        if o.cluster(cluster).l2.peek(line).is_none() {
+            let (fresh, victim) = o.cluster(cluster).l2.allocate(line);
+            fresh.fill_masked(&data, 0xff);
+            fresh.incoherent = grant.is_none();
+            fresh.state = grant.unwrap_or(HwState::Shared);
+            if let Some(v) = victim {
+                handle_l2_eviction(o, cluster, v, t2);
+            }
+        }
+    }
+    let l1i = &mut o.cluster(cluster).l1i[li];
+    if l1i.peek(line).is_none() {
+        let (fresh, _) = l1i.allocate(line);
+        fresh.valid_words = 0xff;
+    }
+    Ok(t2)
+}
+
+/// Handles an L2 capacity/conflict eviction (§2.1/§3.4 semantics:
+/// silent for clean SWcc lines, read release for clean HWcc lines,
+/// writeback for dirty lines).
+fn handle_l2_eviction<O: Owner>(o: &mut O, cluster: ClusterId, v: EvictedLine, t: Cycle) {
+    trace_kind(o, t, v.addr, "evict", format_args!(
+        "from {cluster} dirty={:#x} inc={}", v.dirty_words, v.incoherent
+    ));
+    back_invalidate_l1(o, cluster, v.addr);
+    let bank = o.bank_of(v.addr);
+    if v.dirty_words != 0 {
+        note_msg(o, cluster, v.addr, MessageClass::CacheEviction, t);
+        let t_arr = o.request(cluster, bank, t);
+        l3_write_words(o, bank, v.addr, &v.data, v.dirty_words, t_arr);
+        if !v.incoherent {
+            // The owner is gone; the directory deallocates the entry.
+            if let Some(dir) = &mut o.bank(bank).dir {
+                dir.remove(t, v.addr);
+            }
+        }
+    } else if !v.incoherent {
+        if o.cfg().silent_evictions {
+            // Ablation: drop the clean line without telling the
+            // directory. The sharer set goes stale; future coherence
+            // actions probe caches that no longer hold the line and the
+            // entry lingers until a capacity eviction reclaims it —
+            // the cost structure §2.1/§3.2 describe.
+            return;
+        }
+        // Clean HWcc line: silent evictions are not supported — a read
+        // release informs the directory (§2.1).
+        note_msg(o, cluster, v.addr, MessageClass::ReadRelease, t);
+        let t_arr = o.request(cluster, bank, t);
+        if let Some(bank_dir) = &mut o.bank(bank).dir {
+            let empty = match bank_dir.lookup(v.addr) {
+                Some(e) => {
+                    e.sharers.remove(cluster);
+                    e.sharers.is_empty()
+                }
+                None => false,
+            };
+            if empty {
+                bank_dir.remove(t_arr, v.addr);
+            }
+        }
+    }
+    // Clean SWcc line: dropped silently, no message (§2.1).
+}
+
+/// Resolves the coherence domain of `line` as the hardware would (coarse
+/// table, then fine table; HWcc default) — the body of
+/// [`Machine::domain_of`], callable from any [`Owner`].
+fn resolve_domain<O: Owner>(o: &O, line: LineAddr) -> Domain {
+    match o.cfg().design.mode {
         CohMode::SWcc => Domain::SWcc,
         CohMode::HWcc => Domain::HWcc,
         CohMode::Cohesion => {
-            let Some(p) = processes
-                .iter()
-                .find(|p| p.layout.owns(line.base()) || p.fine.covers(line.base()))
-            else {
+            let Some(p) = process_of(o.processes(), line.base()) else {
                 // Outside every process slice (runtime scratch): HWcc
                 // default.
                 return Domain::HWcc;
@@ -1840,88 +2010,85 @@ fn resolve_domain(
                 // The table itself is never L2-cached; treat as SWcc.
                 Domain::SWcc
             } else {
-                p.fine.domain(mem, line)
+                p.fine.domain(o.mem(), line)
             }
         }
     }
 }
 
+/// The process context owning `addr`, if any (processes own their
+/// slices; the tables themselves belong to their process).
+fn process_of(processes: &[ProcessCtx], addr: Addr) -> Option<&ProcessCtx> {
+    processes
+        .iter()
+        .find(|p| p.layout.owns(addr) || p.fine.covers(addr))
+}
+
+/// The directory-entry class of `line` (code, heap/global, or stack).
+fn classify(processes: &[ProcessCtx], line: LineAddr) -> EntryClass {
+    match process_of(processes, line.base()) {
+        Some(p) => p.layout.classify(line.base()),
+        None => EntryClass::HeapGlobal,
+    }
+}
+
+// ----------------------------------------------------------------------
+// Sharded execution: per-cluster lanes
+// ----------------------------------------------------------------------
+
 /// Per-lane scratch state for the sharded executor: telemetry recorded
-/// off the serial thread by fast-path operations, folded back into the
+/// off the serial thread by phase-A operations, folded back into the
 /// machine registry in lane order at the end of the run
 /// ([`Machine::absorb_lane_scratches`]).
 #[derive(Debug)]
-pub struct LaneScratch {
-    /// Lane-local metrics. Only `latency/load` and `latency/store`
-    /// histogram records land here; histogram merges are commutative, so
-    /// the fold order cannot be observed.
-    pub metrics: Registry,
+pub(crate) struct LaneScratch {
+    /// Lane-local metrics. Histogram, counter, and sampler merges are
+    /// commutative, so the fold order cannot be observed.
+    pub(crate) metrics: Registry,
     /// Lane-local timeline buffer: phase A spans and escalation events
     /// recorded off the serial thread, absorbed into the machine
     /// recorder in fixed lane order after every window.
-    pub timeline: cohesion_sim::timeline::LaneTimeline,
+    pub(crate) timeline: LaneTimeline,
 }
 
-/// One cluster's slice of the machine, usable concurrently with the
-/// other lanes' slices.
+/// One cluster's share of the machine, usable concurrently with the
+/// other lanes' shares.
 ///
-/// A lane owns mutable access to its cluster's L1s, L2, L2 port
-/// throttle, message/instruction counters, **and the L3 banks (with
-/// their collocated directory slices, port throttles, table caches, and
-/// direct NoC links) it owns under the static [`BankOwnership`]
-/// partition**, plus shared *read-only* access to the configuration,
-/// region tables, and backing memory. The `try_*` methods attempt each
-/// core-visible operation on that state alone: they either complete it
-/// with effects byte-identical to the corresponding `Machine` method,
-/// or return `None` **without mutating anything**, in which case the
-/// caller must escalate the operation to the serial path
-/// (`Machine::load` etc.), which re-runs it from scratch.
+/// A lane owns mutable access to its cluster's [`ClusterState`] **and
+/// the L3 banks (with their collocated directory slices, port
+/// throttles, and table caches) and direct NoC links it owns under the
+/// static [`BankOwnership`] partition**, plus shared *read-only* access
+/// to the configuration, region tables, and backing memory.
 ///
-/// The escalation contract is what keeps sharded runs deterministic: a
-/// `None` leaves no trace, so the serial replay observes exactly the
-/// state a serial-only engine would have produced for that operation.
-/// Ownership decisions depend only on the config-fixed [`AddressMap`]
-/// home function and the cluster count — never on host threads — so the
-/// phase-A/B split remains a function of simulated state alone.
+/// Each access first passes the lane's admission check
+/// ([`Owner::admit`]): pure peeks that decide, with nothing mutated,
+/// whether the operation stays inside the lane's share. If it does, the
+/// one shared operation body runs on the lane; if not, the access
+/// escalates with its [`EscalationCause`] and the serial phase re-runs
+/// it from scratch on the [`Machine`]. Because an escalation leaves no
+/// trace, the serial replay observes exactly the state a serial-only
+/// engine would have produced. Ownership decisions depend only on the
+/// config-fixed [`AddressMap`] home function and the cluster count —
+/// never on host threads — so the phase-A/B split remains a function of
+/// simulated state alone.
 #[derive(Debug)]
-pub struct LaneCtx<'a> {
+pub(crate) struct LaneCtx<'a> {
     cluster: ClusterId,
-    cores_per_cluster: u32,
-    l2_latency: Cycle,
-    l3_latency: Cycle,
-    word_granular_swcc: bool,
-    exclusive_state: bool,
-    silent_evictions: bool,
-    clusters: u32,
-    mode: CohMode,
+    cfg: &'a MachineConfig,
     map: AddressMap,
     ownership: BankOwnership,
     /// `false` => every operation escalates: the trace log is armed and
     /// all protocol records must happen serially, in canonical order.
     fast: bool,
-    /// Profiler active => invalidates escalate (the profiler is
-    /// machine-global state).
+    /// Profiler active => every message and invalidate escalates (the
+    /// profiler is machine-global state).
     profiled: bool,
-    /// Lane-owned-bank servicing enabled ([`MachineConfig::lane_owned_l3`]).
-    /// `false` forces every line fetch to escalate — the `perfstat`
-    /// pre/post baseline.
-    lane_l3: bool,
     processes: &'a [ProcessCtx],
     mem: &'a MainMemory,
-    l1i: &'a mut [Cache],
-    l1d: &'a mut [Cache],
-    l2: &'a mut Cache,
-    l2_ports: &'a mut Throttle,
-    l2_msgs: &'a mut MessageCounts,
-    instr_stats: &'a mut CoherenceInstrStats,
+    /// The lane's cluster.
+    state: &'a mut ClusterState,
     /// Owned L3 banks, in slot order (`BankOwnership::slot_of`).
-    l3: Vec<&'a mut Cache>,
-    /// Owned banks' port throttles, same slot order.
-    l3_ports: Vec<&'a mut Throttle>,
-    /// Owned directory slices (when the design has a directory).
-    dirs: Option<Vec<&'a mut DirectoryBank>>,
-    /// Owned banks' dedicated table caches (when configured).
-    table_cache: Option<Vec<&'a mut Cache>>,
+    banks: Vec<&'a mut BankState>,
     /// Direct links between this lane's cluster and its owned banks.
     noc: LaneNoc<'a>,
     scratch: &'a mut LaneScratch,
@@ -1929,67 +2096,36 @@ pub struct LaneCtx<'a> {
 
 impl LaneCtx<'_> {
     /// The cluster this lane simulates.
-    pub fn cluster(&self) -> ClusterId {
+    pub(crate) fn cluster(&self) -> ClusterId {
         self.cluster
     }
 
     /// The lane's timeline buffer (phase A spans, escalation events).
-    pub fn timeline(&mut self) -> &mut cohesion_sim::timeline::LaneTimeline {
+    pub(crate) fn timeline(&mut self) -> &mut LaneTimeline {
         &mut self.scratch.timeline
     }
 
-    /// Core index within this lane's L1 slices.
-    fn local(&self, core: CoreId) -> usize {
-        debug_assert_eq!(self.cluster, core.cluster(self.cores_per_cluster));
-        (core.0 - self.cluster.0 * self.cores_per_cluster) as usize
-    }
-
-    /// Lane-local replica of `Machine::l1d_fill_word`.
-    fn l1d_fill_word(&mut self, li: usize, line: LineAddr, w: usize, value: u32) {
-        let l1 = &mut self.l1d[li];
-        if let Some(l) = l1.peek_mut(line) {
-            l.data[w] = value;
-            l.valid_words |= 1 << w;
-            return;
-        }
-        let (fresh, _victim) = l1.allocate(line);
-        fresh.data[w] = value;
-        fresh.valid_words = 1 << w;
-        // L1D is write-through: victims are always clean, drop silently.
-    }
-
-    /// Lane-local replica of `Machine::back_invalidate_l1` (the lane's
-    /// L1D slice *is* the cluster's cores).
-    fn back_invalidate_l1(&mut self, line: LineAddr) {
-        for l1 in self.l1d.iter_mut() {
-            l1.invalidate(line);
+    /// Asserts `cluster` is this lane's cluster.
+    fn own(&self, cluster: ClusterId) {
+        if cluster != self.cluster {
+            unreachable!("lane {} touched {cluster}'s state", self.cluster);
         }
     }
 
-    /// Lane-local replica of `Machine::process_of` (pure).
-    fn process_of(&self, addr: Addr) -> Option<&ProcessCtx> {
-        self.processes
-            .iter()
-            .find(|p| p.layout.owns(addr) || p.fine.covers(addr))
+    /// The slot of an owned bank.
+    fn slot(&self, bank: BankId) -> usize {
+        if !self.ownership.owns(self.cluster.0, bank.0) {
+            unreachable!("lane {} touched bank {}, owned by another lane", self.cluster, bank.0);
+        }
+        self.ownership.slot_of(bank.0)
     }
 
-    /// Lane-local replica of `Machine::classify` (pure).
-    fn classify(&self, line: LineAddr) -> EntryClass {
-        match self.process_of(line.base()) {
-            Some(p) => p.layout.classify(line.base()),
-            None => EntryClass::HeapGlobal,
-        }
-    }
-
-    /// The escalation cause for an L2-miss line fetch that could not be
-    /// serviced in phase A: lane-local (the home bank is ours but a
-    /// fast-path precondition failed) vs. remote (another lane's bank).
-    pub fn l3_cause(&self, line: LineAddr) -> EscalationCause {
-        if self.ownership.owns(self.cluster.0, self.map.bank_of(line)) {
-            EscalationCause::L3Local
-        } else {
-            EscalationCause::L3Remote
-        }
+    /// The slot of `line`'s home bank, when this lane owns it.
+    fn owns_bank_of(&self, line: LineAddr) -> Option<usize> {
+        let bank = self.map.bank_of(line);
+        self.ownership
+            .owns(self.cluster.0, bank)
+            .then(|| self.ownership.slot_of(bank))
     }
 
     /// Checks whether an L2-miss line fetch for `line` can be serviced
@@ -1997,46 +2133,41 @@ impl LaneCtx<'_> {
     /// L3 must hold the line (a miss would touch the shared DRAM
     /// model), and the required directory transition must be
     /// slice-local — no probes to other clusters, no directory victim.
-    /// Pure (peeks only), so a `None` caller escalates with nothing
-    /// mutated. Returns the owned bank's slot index.
-    fn can_fetch_owned(&self, line: LineAddr, exclusive: bool) -> Option<usize> {
-        if !self.lane_l3 {
-            return None; // fast path disabled: pre-change baseline
+    /// Pure (peeks only).
+    fn can_fetch_owned(&self, line: LineAddr, exclusive: bool) -> bool {
+        if !self.cfg.lane_owned_l3 {
+            return false; // lane servicing disabled: escalate-everything engine
         }
         if self.profiled {
-            return None; // note_msg feeds the machine-global profiler
+            return false; // note_msg feeds the machine-global profiler
         }
-        let bank = self.map.bank_of(line);
-        if !self.ownership.owns(self.cluster.0, bank) {
-            return None; // another lane's bank: inherently cross-lane
-        }
-        let slot = self.ownership.slot_of(bank);
-        if self.l3[slot].peek(line).is_none() {
-            return None; // DRAM fill: the DRAM model is shared
-        }
-        let Some(dirs) = self.dirs.as_ref() else {
-            return Some(slot); // SWcc design point: no directory at all
+        let Some(slot) = self.owns_bank_of(line) else {
+            return false; // another lane's bank: inherently cross-lane
         };
-        match dirs[slot].peek(line) {
+        let bank = &self.banks[slot];
+        if bank.l3.peek(line).is_none() {
+            return false; // DRAM fill: the DRAM model is shared
+        }
+        let Some(dir) = bank.dir.as_ref() else {
+            return true; // SWcc design point: no directory at all
+        };
+        match dir.peek(line) {
             Some(e) => {
                 let others = e
                     .sharers
-                    .probe_targets(self.clusters)
+                    .probe_targets(self.cfg.clusters())
                     .into_iter()
                     .any(|c| c != self.cluster);
-                if others && (exclusive || e.state == DirState::Modified) {
-                    return None; // probes to other clusters (shared NoC)
-                }
-                Some(slot)
+                // Probes to other clusters use the shared NoC.
+                !(others && (exclusive || e.state == DirState::Modified))
             }
             None => {
                 // Directory miss: replay the §3.4 region-table walk with
                 // pure reads, and require any insertion to be victimless
                 // (a directory victim probes its sharers).
-                let proc = self
-                    .process_of(line.base())
+                let proc = process_of(self.processes, line.base())
                     .map(|p| (p.coarse.lookup(line.base()).is_some(), p.fine));
-                let domain = match (self.mode, proc) {
+                let domain = match (self.cfg.design.mode, proc) {
                     (CohMode::HWcc, _) => Domain::HWcc,
                     (CohMode::SWcc, _) => Domain::SWcc,
                     (CohMode::Cohesion, None) => Domain::HWcc,
@@ -2044,24 +2175,20 @@ impl LaneCtx<'_> {
                     (CohMode::Cohesion, Some((false, fine))) => {
                         let slot_f = fine.slot_of(line);
                         let tline = slot_f.word.line();
-                        let tc_hit = self
+                        let tc_hit = bank
                             .table_cache
                             .as_ref()
-                            .is_some_and(|tc| tc[slot].peek(tline).is_some());
-                        if !tc_hit && self.l3[slot].peek(tline).is_none() {
-                            return None; // table line needs a DRAM fill
+                            .is_some_and(|tc| tc.peek(tline).is_some());
+                        if !tc_hit && bank.l3.peek(tline).is_none() {
+                            return false; // table line needs a DRAM fill
                         }
                         fine.domain_at(self.mem, slot_f)
                     }
                 };
                 match domain {
-                    Domain::SWcc => Some(slot),
-                    Domain::HWcc => {
-                        if dirs[slot].insert_victim_preview(line).is_some() {
-                            return None; // victim's sharers need probes
-                        }
-                        Some(slot)
-                    }
+                    Domain::SWcc => true,
+                    // A directory victim's sharers need probes.
+                    Domain::HWcc => dir.insert_victim_preview(line).is_none(),
                 }
             }
         }
@@ -2069,7 +2196,7 @@ impl LaneCtx<'_> {
 
     /// Checks whether the L2 victim that allocating `line` would displace
     /// (if any) can be handled entirely within this lane. Pure (peeks
-    /// only). The serial arms of `Machine::handle_l2_eviction` map to:
+    /// only). The arms of `handle_l2_eviction` map to:
     ///
     /// * no victim, or a clean SWcc victim — silent, always local;
     /// * a clean HWcc victim under the `silent_evictions` ablation —
@@ -2085,567 +2212,197 @@ impl LaneCtx<'_> {
     /// geometry, so a victim's home bank equals the fetched line's —
     /// but the check goes through the [`AddressMap`] anyway.
     fn victim_local(&self, line: LineAddr) -> bool {
-        let Some(v) = self.l2.victim_preview(line) else {
+        let Some(v) = self.state.l2.victim_preview(line) else {
             return true; // free way: no victim at all
         };
-        if v.dirty_words == 0 && (v.incoherent || self.silent_evictions) {
+        if v.dirty_words == 0 && (v.incoherent || self.cfg.silent_evictions) {
             return true; // dropped silently, no message
         }
         if self.profiled {
             return false; // note_msg feeds the machine-global profiler
         }
-        let bank = self.map.bank_of(v.addr);
-        if !self.ownership.owns(self.cluster.0, bank) {
+        let Some(slot) = self.owns_bank_of(v.addr) else {
             return false; // the victim's home bank is another lane's
-        }
-        if v.dirty_words != 0 {
-            let slot = self.ownership.slot_of(bank);
-            if self.l3[slot].peek(v.addr).is_none() {
-                return false; // writeback would miss: shared DRAM model
-            }
-        }
-        true
-    }
-
-    /// Lane-local replica of `Machine::handle_l2_eviction` for a
-    /// precondition-checked victim ([`LaneCtx::victim_local`]): the
-    /// back-invalidate, message accounting, direct-link traversal, L3
-    /// writeback merge, and directory release happen in the serial order
-    /// with the serial counts.
-    fn handle_l2_eviction_owned(&mut self, v: EvictedLine, t: Cycle) {
-        self.back_invalidate_l1(v.addr);
-        let cluster = self.cluster;
-        let bank = self.map.bank_of(v.addr);
-        if v.dirty_words != 0 {
-            self.l2_msgs.record(MessageClass::CacheEviction);
-            self.scratch.metrics.sample_add("messages", t, 1);
-            let slot = self.ownership.slot_of(bank);
-            let _t_arr = self.noc.request_direct(slot, t);
-            // The `l3_write_words` hit arm (L3-resident by precondition):
-            // merge the dirty words into the owned bank's image.
-            let l = self.l3[slot].access(v.addr).expect("precondition: victim L3-resident");
-            for (i, &word) in v.data.iter().enumerate() {
-                if v.dirty_words & (1 << i) != 0 {
-                    l.data[i] = word;
-                    l.valid_words |= 1 << i;
-                    l.dirty_words |= 1 << i;
-                }
-            }
-            if !v.incoherent {
-                // The owner is gone; the directory deallocates the entry.
-                if let Some(dirs) = self.dirs.as_mut() {
-                    dirs[slot].remove(t, v.addr);
-                }
-            }
-        } else if !v.incoherent {
-            if self.silent_evictions {
-                // Ablation: drop the clean line without telling the
-                // directory (the sharer set goes stale, as in serial).
-                return;
-            }
-            self.l2_msgs.record(MessageClass::ReadRelease);
-            self.scratch.metrics.sample_add("messages", t, 1);
-            let slot = self.ownership.slot_of(bank);
-            let t_arr = self.noc.request_direct(slot, t);
-            if let Some(dirs) = self.dirs.as_mut() {
-                let bank_dir = &mut dirs[slot];
-                let empty = match bank_dir.lookup(v.addr) {
-                    Some(e) => {
-                        e.sharers.remove(cluster);
-                        e.sharers.is_empty()
-                    }
-                    None => false,
-                };
-                if empty {
-                    bank_dir.remove(t_arr, v.addr);
-                }
-            }
-        }
-        // Clean SWcc line: dropped silently, no message (§2.1).
-    }
-
-    /// Lane-local replica of `Machine::fetch_line` for a
-    /// precondition-checked owned bank ([`LaneCtx::can_fetch_owned`]):
-    /// message accounting, direct-link traversal, port grant, directory
-    /// resolution, and the L3 access happen in the serial order with the
-    /// serial counts, so the committed state is byte-identical to an
-    /// escalate-and-replay of the same operation.
-    fn fetch_line_owned(
-        &mut self,
-        slot: usize,
-        line: LineAddr,
-        exclusive: bool,
-        class: MessageClass,
-        t_issue: Cycle,
-    ) -> (Cycle, [u32; WORDS_PER_LINE], Option<HwState>) {
-        self.l2_msgs.record(class);
-        self.scratch.metrics.sample_add("messages", t_issue, 1);
-        let svc = self.scratch.timeline.start();
-        let t_arr = self.noc.request_direct(slot, t_issue);
-        let mut t = self.l3_ports[slot].grant(t_arr) + self.l3_latency;
-        let grant = if self.dirs.is_some() {
-            self.resolve_with_directory_owned(slot, line, exclusive, &mut t)
-        } else {
-            None // SWcc design point: everything is software-managed
         };
-        let data = self.l3[slot].access(line).expect("precondition: L3 hit").data;
-        let t_reply = self.noc.reply_direct(slot, t);
-        self.scratch.metrics.record_latency("latency/fetch", t_reply - t_issue);
-        let lane = self.cluster.0;
-        self.scratch.timeline.service("l3_service", lane, svc, t_issue);
-        self.scratch.timeline.note_l3_fast();
-        (t_reply, data, grant)
+        // A dirty writeback that misses the L3 goes to the shared DRAM.
+        v.dirty_words == 0 || self.banks[slot].l3.peek(v.addr).is_some()
     }
 
-    /// Lane-local replica of `Machine::resolve_with_directory` for the
-    /// precondition-checked cases. Directory-call ordering and counts
-    /// (and hence LRU stamp streams — `lookup` bumps the bank's stamp
-    /// even on a miss) match the serial path exactly.
-    fn resolve_with_directory_owned(
-        &mut self,
-        slot: usize,
-        line: LineAddr,
-        exclusive: bool,
-        t: &mut Cycle,
-    ) -> Option<HwState> {
-        let requester = self.cluster;
-        let clusters = self.clusters;
-        let tracking = self.dirs.as_ref().expect("caller checked")[slot]
-            .config()
-            .tracking;
-
-        let hit = self.dirs.as_mut().expect("present")[slot]
-            .lookup(line)
-            .is_some();
-        self.scratch.metrics.inc(if hit {
-            "directory/lookup_hits"
-        } else {
-            "directory/lookup_misses"
-        });
-        if hit {
-            let state = {
-                let e = self.dirs.as_mut().expect("present")[slot]
-                    .lookup(line)
-                    .expect("just hit");
-                debug_assert!(
-                    !(e.sharers
-                        .probe_targets(clusters)
-                        .into_iter()
-                        .any(|c| c != requester)
-                        && (exclusive || e.state == DirState::Modified)),
-                    "precondition: no probes needed"
-                );
-                e.state
-            };
-            if exclusive {
-                let e = self.dirs.as_mut().expect("present")[slot]
-                    .lookup(line)
-                    .expect("still present");
-                e.state = DirState::Modified;
-                e.sharers = cohesion_protocol::sharers::SharerSet::empty(tracking, clusters);
-                e.sharers.add(requester, tracking);
-                return Some(HwState::Modified);
-            }
-            if state == DirState::Modified {
-                // The requester already owns the line and is fetching
-                // words its partial copy lacks (possible after a case-3b
-                // transition): ownership retained, no third lookup.
-                return Some(HwState::Modified);
-            }
-            let e = self.dirs.as_mut().expect("present")[slot]
-                .lookup(line)
-                .expect("still present");
-            e.state = state;
-            e.sharers.add(requester, tracking);
-            return Some(HwState::Shared);
-        }
-
-        // Directory miss: the §3.4 region-table walk, slice-local by
-        // precondition.
-        let proc = self
-            .process_of(line.base())
-            .map(|p| (p.coarse.lookup(line.base()).is_some(), p.fine));
-        let domain = match (self.mode, proc) {
-            (CohMode::HWcc, _) => Domain::HWcc,
-            (CohMode::SWcc, _) => Domain::SWcc,
-            (CohMode::Cohesion, None) => Domain::HWcc,
-            (CohMode::Cohesion, Some((in_coarse, fine))) => {
-                if in_coarse {
-                    self.scratch.metrics.inc("table/coarse_hits");
-                    Domain::SWcc
-                } else {
-                    let slot_f = fine.slot_of(line);
-                    let tline = slot_f.word.line();
-                    let tt = *t + 1;
-                    let tc_hit = match self.table_cache.as_mut() {
-                        Some(tc) => tc[slot].access(tline).is_some(),
-                        None => false,
-                    };
-                    self.scratch.metrics.inc("table/fine_lookups");
-                    if tc_hit {
-                        self.scratch.metrics.inc("table/fine_cache_hits");
-                    }
-                    if !tc_hit {
-                        // `l3_read_line` on a precondition-guaranteed
-                        // hit: the access refreshes LRU/stats and the
-                        // time is unchanged.
-                        let resident = self.l3[slot].access(tline).is_some();
-                        debug_assert!(resident, "precondition: table line resident");
-                        if let Some(tc) = self.table_cache.as_mut() {
-                            let (fresh, _) = tc[slot].allocate(tline);
-                            fresh.valid_words = 0xff;
-                        }
-                    }
-                    *t = tt;
-                    fine.domain_at(self.mem, slot_f)
-                }
-            }
-        };
-        match domain {
-            Domain::SWcc => None,
-            Domain::HWcc => {
-                let class = self.classify(line);
-                let grant = if exclusive {
-                    HwState::Modified
-                } else if self.exclusive_state {
-                    HwState::Exclusive
-                } else {
-                    HwState::Shared
-                };
-                let entry = match grant {
-                    HwState::Shared => DirEntry::shared(requester, tracking, clusters, class),
-                    _ => DirEntry::modified(requester, tracking, clusters, class),
-                };
-                let victim = self.dirs.as_mut().expect("present")[slot].insert(*t, line, entry);
-                debug_assert!(victim.is_none(), "precondition: victimless insertion");
-                Some(grant)
-            }
-        }
+    /// Whether an L2 miss on `line` (allocating, when `allocates`) stays
+    /// inside the lane: an owned-bank fetch plus a local victim.
+    fn miss_local(&self, line: LineAddr, exclusive: bool, allocates: bool) -> bool {
+        self.can_fetch_owned(line, exclusive) && (!allocates || self.victim_local(line))
     }
 
-    /// Attempts a load entirely within the lane. `Some` mirrors
-    /// `Machine::load`'s L1-hit, L2-hit, **and owned-bank L2-miss**
-    /// returns exactly; `None` means the fetch needs global state
-    /// (another lane's bank, DRAM, probes, a victim homed on an unowned
-    /// bank) and nothing was touched.
-    pub fn try_load(&mut self, core: CoreId, addr: Addr, t: Cycle) -> Option<(Cycle, u32)> {
-        if !self.fast {
-            return None;
-        }
-        let line = addr.line();
-        let w = addr.word_index();
-        let li = self.local(core);
-        // Classify with pure peeks before mutating anything.
-        let l1_ok = self.l1d[li].peek(line).is_some_and(|l| l.word_valid(w));
-        let l2_ok = self.l2.peek(line).is_some_and(|l| l.word_valid(w));
-        let mut fetch_slot = None;
-        if !l1_ok && !l2_ok {
-            // L2 miss: serviceable in phase A only at an owned bank with
-            // a slice-local directory transition and (when the line is
-            // absent, not just partial) a lane-locally handleable victim.
-            let slot = self.can_fetch_owned(line, false)?;
-            if self.l2.peek(line).is_none() && !self.victim_local(line) {
-                return None;
+    /// The admission check proper: whether `access` touches only what
+    /// this lane owns. Pure (peeks only).
+    fn stays_local(&self, access: Access) -> bool {
+        match access {
+            Access::Load(core, addr) => {
+                let (line, w) = (addr.line(), addr.word_index());
+                let word_held = |c: &Cache| c.peek(line).is_some_and(|l| l.word_valid(w));
+                let l2 = &self.state.l2;
+                word_held(&self.state.l1d[locate(core, self.cfg.cores_per_cluster).1])
+                    || word_held(l2)
+                    || self.miss_local(line, false, l2.peek(line).is_none())
             }
-            fetch_slot = Some(slot);
-        }
-        // L1D (same access/count order as the serial path).
-        if let Some(l) = self.l1d[li].access(line) {
-            if l.word_valid(w) {
-                return Some((t + 1, l.data[w]));
+            Access::Ifetch(core, addr) => {
+                let line = addr.line();
+                self.state.l1i[locate(core, self.cfg.cores_per_cluster).1].peek(line).is_some()
+                    || self.state.l2.peek(line).is_some()
+                    || self.miss_local(line, false, true)
             }
-        }
-        let t2 = self.l2_ports.grant(t + 1) + self.l2_latency;
-        let (t2, v) = match fetch_slot {
-            None => {
-                // L2 hit with the word present.
-                let l = self.l2.access(line).expect("classified as an L2 hit");
-                debug_assert!(l.word_valid(w));
-                (t2, l.data[w])
-            }
-            Some(slot) => {
-                // The serial classification access (partial hit or miss).
-                let word_absent = !self.l2.access(line).is_some_and(|l| l.word_valid(w));
-                debug_assert!(word_absent, "classified as needing a fetch");
-                let (t_done, data, grant) =
-                    self.fetch_line_owned(slot, line, false, MessageClass::ReadRequest, t2);
-                let value = match self.l2.peek_mut(line) {
-                    Some(l) => {
-                        l.fill_masked(&data, 0xff);
-                        if grant.is_none() {
-                            l.incoherent = true;
-                        }
-                        l.data[w]
-                    }
-                    None => {
-                        let (fresh, victim) = self.l2.allocate(line);
-                        fresh.fill_masked(&data, 0xff);
-                        fresh.incoherent = grant.is_none();
-                        fresh.state = grant.unwrap_or(HwState::Shared);
-                        let value = fresh.data[w];
-                        if let Some(v) = victim {
-                            self.handle_l2_eviction_owned(v, t_done);
-                        }
-                        value
-                    }
-                };
-                (t_done, value)
-            }
-        };
-        self.l1d_fill_word(li, line, w, v);
-        self.scratch.metrics.record_latency("latency/load", t2 - t);
-        Some((t2, v))
-    }
-
-    /// Attempts a store entirely within the lane: an L2 write hit, a
-    /// word-granular SWcc write-allocate whose victim (if any) is
-    /// lane-locally handleable, or — at a lane-owned home bank with a
-    /// slice-local directory transition — an ownership upgrade or HWcc
-    /// write miss. Cross-lane banks, probes, DRAM fills, and victims
-    /// homed on unowned banks escalate untouched.
-    pub fn try_store(&mut self, core: CoreId, addr: Addr, value: u32, t: Cycle) -> Option<Cycle> {
-        if !self.fast {
-            return None;
-        }
-        let line = addr.line();
-        let w = addr.word_index();
-        debug_assert_eq!(self.cluster, core.cluster(self.cores_per_cluster));
-
-        enum Fast {
-            WriteNow,
-            Upgrade(usize),
-            MissSw,
-            MissHw(usize),
-        }
-        // Classify with pure peeks before mutating anything.
-        let plan = match self.l2.peek(line) {
-            Some(l) => {
-                if l.state == HwState::Exclusive || l.incoherent || l.state == HwState::Modified {
-                    Fast::WriteNow
-                } else {
+            Access::Store(addr) => {
+                let line = addr.line();
+                match self.state.l2.peek(line) {
+                    Some(l) if l.incoherent => true,
+                    Some(l) if matches!(l.state, HwState::Exclusive | HwState::Modified) => true,
                     // Shared HWcc: the ownership upgrade is slice-local
                     // when the home bank is ours and no other cluster
                     // holds the line.
-                    Fast::Upgrade(self.can_fetch_owned(line, true)?)
+                    Some(_) => self.can_fetch_owned(line, true),
+                    None => match resolve_domain(self, line) {
+                        // Write-allocate without a fill, unless the
+                        // line-granular ablation must fetch first.
+                        Domain::SWcc => self.cfg.word_granular_swcc && self.victim_local(line),
+                        Domain::HWcc => self.miss_local(line, true, true),
+                    },
                 }
             }
-            None => match resolve_domain(self.mode, self.processes, self.mem, line) {
-                Domain::SWcc => {
-                    if !self.word_granular_swcc {
-                        return None; // line-granular ablation: fetch first
-                    }
-                    // The allocation's victim must also complete locally
-                    // (silent, or at a lane-owned home bank).
-                    if !self.victim_local(line) {
-                        return None;
-                    }
-                    Fast::MissSw
-                }
-                Domain::HWcc => {
-                    let slot = self.can_fetch_owned(line, true)?;
-                    if !self.victim_local(line) {
-                        return None;
-                    }
-                    Fast::MissHw(slot)
-                }
+            Access::Flush(line) => {
+                // A real writeback must reach an owned bank holding the
+                // line (an L3 miss writes through to the shared DRAM).
+                let l2 = &self.state.l2;
+                let dirty = l2.peek(line).is_some_and(|l| l.incoherent && l.dirty_words != 0);
+                !dirty
+                    || (!self.profiled
+                        && self
+                            .owns_bank_of(line)
+                            .is_some_and(|slot| self.banks[slot].l3.peek(line).is_some()))
+            }
+            // Never sends a message; escalates only for the profiler.
+            Access::Invalidate => !self.profiled,
+        }
+    }
+
+    /// The global resource `access` escalates for (timeline
+    /// attribution; escalation behaviour never depends on it).
+    fn cause(&self, access: Access) -> EscalationCause {
+        match access {
+            // A line fetch: lane-local (the home bank is ours but an
+            // admission precondition failed) vs. remote (another lane's).
+            Access::Load(_, addr) | Access::Ifetch(_, addr) => match self.owns_bank_of(addr.line()) {
+                Some(_) => EscalationCause::L3Local,
+                None => EscalationCause::L3Remote,
             },
-        };
-
-        // Commit, replicating `Machine::store`'s mutation order.
-        let t2 = self.l2_ports.grant(t + 1) + self.l2_latency;
-        let t_done = match plan {
-            Fast::WriteNow => {
-                let l = self.l2.access(line).expect("classified as a hit");
-                if l.state == HwState::Exclusive {
-                    // The silent E->M upgrade the MESI ablation buys.
-                    l.state = HwState::Modified;
-                }
-                l.write_word(w, value);
-                t2
-            }
-            Fast::Upgrade(slot) => {
-                // The serial classification access (a Shared hit).
-                let present = self.l2.access(line).is_some();
-                debug_assert!(present, "classified as a Shared hit");
-                let (_t3, _data, grant) =
-                    self.fetch_line_owned(slot, line, true, MessageClass::WriteRequest, t2);
-                let l = self.l2.peek_mut(line).expect("still present");
-                debug_assert!(grant.is_some());
-                l.state = HwState::Modified;
-                l.write_word(w, value);
-                t2 + 1
-            }
-            Fast::MissSw => {
-                let missed = self.l2.access(line).is_none();
-                debug_assert!(missed, "classified as a miss");
-                let (fresh, victim) = self.l2.allocate(line);
-                fresh.incoherent = true;
-                fresh.write_word(w, value);
-                if let Some(v) = victim {
-                    self.handle_l2_eviction_owned(v, t2);
-                }
-                t2
-            }
-            Fast::MissHw(slot) => {
-                let missed = self.l2.access(line).is_none();
-                debug_assert!(missed, "classified as a miss");
-                let (t3, data, grant) =
-                    self.fetch_line_owned(slot, line, true, MessageClass::WriteRequest, t2);
-                debug_assert!(grant.is_some(), "fine table and L2 state disagree");
-                // The fetch does not touch the L2, so peek_mut is still
-                // `None`: the serial allocate arm.
-                let (fresh, victim) = self.l2.allocate(line);
-                fresh.fill_masked(&data, 0xff);
-                fresh.state = HwState::Modified;
-                fresh.write_word(w, value);
-                if let Some(v) = victim {
-                    self.handle_l2_eviction_owned(v, t3);
-                }
-                t2 + 1
-            }
-        };
-        // Sibling L1D write-through snoop (cluster-local by
-        // construction: the lane's L1D slice is the cluster).
-        for l1 in self.l1d.iter_mut() {
-            if let Some(l) = l1.peek_mut(line) {
-                if l.word_valid(w) {
-                    l.data[w] = value;
-                }
-            }
+            Access::Store(_) | Access::Invalidate => EscalationCause::Directory,
+            Access::Flush(_) => EscalationCause::Noc,
         }
-        self.scratch.metrics.record_latency("latency/store", t_done - t);
-        Some(t_done)
+    }
+}
+
+impl Owner for LaneCtx<'_> {
+    type Escalation = EscalationCause;
+
+    fn admit(&self, access: Access) -> Result<(), EscalationCause> {
+        if self.fast && self.stays_local(access) {
+            Ok(())
+        } else {
+            Err(self.cause(access))
+        }
     }
 
-    /// Attempts an instruction fetch entirely within the lane: an L1I
-    /// hit, an L1I miss filled from an L2 hit, or an L2 miss serviced at
-    /// a lane-owned L3 bank with a slice-local directory transition and
-    /// a lane-locally handleable L2 victim. Everything else escalates.
-    pub fn try_ifetch(&mut self, core: CoreId, addr: Addr, t: Cycle) -> Option<Cycle> {
+    fn cfg(&self) -> &MachineConfig {
+        self.cfg
+    }
+
+    fn processes(&self) -> &[ProcessCtx] {
+        self.processes
+    }
+
+    fn mem(&self) -> &MainMemory {
+        self.mem
+    }
+
+    fn bank_of(&self, line: LineAddr) -> BankId {
+        BankId(self.map.bank_of(line))
+    }
+
+    fn cluster(&mut self, cluster: ClusterId) -> &mut ClusterState {
+        self.own(cluster);
+        &mut *self.state
+    }
+
+    fn bank(&mut self, bank: BankId) -> &mut BankState {
+        let slot = self.slot(bank);
+        &mut *self.banks[slot]
+    }
+
+    fn request(&mut self, cluster: ClusterId, bank: BankId, t: Cycle) -> Cycle {
+        self.own(cluster);
+        let slot = self.slot(bank);
+        self.noc.request_direct(slot, t)
+    }
+
+    fn reply(&mut self, bank: BankId, cluster: ClusterId, t: Cycle) -> Cycle {
+        self.own(cluster);
+        let slot = self.slot(bank);
+        self.noc.reply_direct(slot, t)
+    }
+
+    fn dram_fill(&mut self, line: LineAddr, _t: Cycle) -> ([u32; WORDS_PER_LINE], Cycle) {
+        unreachable!("lane {} filled {line} from the shared DRAM", self.cluster)
+    }
+
+    fn dram_write(&mut self, line: LineAddr, _: &[u32; WORDS_PER_LINE], _: u8, _: Cycle) {
+        unreachable!("lane {} wrote {line} through to the shared DRAM", self.cluster)
+    }
+
+    fn atomic(
+        &mut self,
+        _: ClusterId,
+        _: Addr,
+        _: AtomicKind,
+        _: u32,
+        _: Cycle,
+    ) -> Result<(Cycle, u32), Halt<EscalationCause>> {
+        // Uncached by design: always global.
+        Err(Halt::Escalate(EscalationCause::Atomic))
+    }
+
+    fn metrics(&mut self) -> &mut Registry {
+        &mut self.scratch.metrics
+    }
+
+    fn tracelog(&mut self) -> Option<&mut TraceLog> {
         if !self.fast {
-            return None;
+            unreachable!("lane {} ran an access with the trace log armed", self.cluster);
         }
-        let line = addr.line();
-        let li = self.local(core);
-        if self.l1i[li].peek(line).is_some() {
-            let hit = self.l1i[li].access(line).is_some();
-            debug_assert!(hit);
-            return Some(t); // overlapped with execution
-        }
-        let mut fetch_slot = None;
-        if self.l2.peek(line).is_none() {
-            let slot = self.can_fetch_owned(line, false)?;
-            if !self.victim_local(line) {
-                return None;
-            }
-            fetch_slot = Some(slot);
-        }
-        let missed = self.l1i[li].access(line).is_none();
-        debug_assert!(missed);
-        let mut t2 = self.l2_ports.grant(t + 1) + self.l2_latency;
-        let in_l2 = self.l2.access(line).is_some();
-        match fetch_slot {
-            None => debug_assert!(in_l2, "classified as an L2 hit"),
-            Some(slot) => {
-                debug_assert!(!in_l2, "classified as an L2 miss");
-                let (t3, data, grant) =
-                    self.fetch_line_owned(slot, line, false, MessageClass::InstructionRequest, t2);
-                t2 = t3;
-                // The fetch does not touch the L2, so peek is still
-                // `None`: the serial allocate arm.
-                let (fresh, victim) = self.l2.allocate(line);
-                fresh.fill_masked(&data, 0xff);
-                fresh.incoherent = grant.is_none();
-                fresh.state = grant.unwrap_or(HwState::Shared);
-                if let Some(v) = victim {
-                    self.handle_l2_eviction_owned(v, t2);
-                }
-            }
-        }
-        let (fresh, _) = self.l1i[li].allocate(line);
-        fresh.valid_words = 0xff;
-        Some(t2)
+        None
     }
 
-    /// Attempts a flush entirely within the lane: the no-writeback case,
-    /// or a real writeback whose home bank is lane-owned and whose line
-    /// is L3-resident (an L3 miss writes through to the shared DRAM
-    /// model, so it escalates).
-    pub fn try_flush(&mut self, core: CoreId, line: LineAddr, t: Cycle) -> Option<Cycle> {
-        if !self.fast {
-            return None;
+    fn profiler(&mut self) -> Option<&mut RegionProfiler> {
+        if self.profiled {
+            unreachable!("lane {} reached the machine-global profiler", self.cluster);
         }
-        debug_assert_eq!(self.cluster, core.cluster(self.cores_per_cluster));
-        let dirty_wb = self
-            .l2
-            .peek(line)
-            .is_some_and(|l| l.incoherent && l.dirty_words != 0);
-        let mut wb_slot = None;
-        if dirty_wb {
-            if self.profiled {
-                return None; // note_msg feeds the machine-global profiler
-            }
-            let bank = self.map.bank_of(line);
-            if !self.ownership.owns(self.cluster.0, bank) {
-                return None; // another lane's bank
-            }
-            let slot = self.ownership.slot_of(bank);
-            if self.l3[slot].peek(line).is_none() {
-                return None; // write-through to the shared DRAM model
-            }
-            wb_slot = Some(slot);
-        }
-        let t2 = self.l2_ports.grant(t + 1);
-        self.instr_stats.writebacks_issued += 1;
-        if let Some(slot) = wb_slot {
-            self.instr_stats.writebacks_useful += 1;
-            let (data, mask) = {
-                let l = self.l2.peek_mut(line).expect("classified as dirty");
-                let data = l.data;
-                let mask = l.dirty_words;
-                l.clean();
-                (data, mask)
-            };
-            self.l2_msgs.record(MessageClass::SoftwareFlush);
-            self.scratch.metrics.sample_add("messages", t2, 1);
-            let _t_arr = self.noc.request_direct(slot, t2);
-            // The `l3_write_words` hit arm: merge the dirty words into
-            // the owned bank's image of the line.
-            let l = self.l3[slot].access(line).expect("precondition: L3 hit");
-            for (i, &word) in data.iter().enumerate() {
-                if mask & (1 << i) != 0 {
-                    l.data[i] = word;
-                    l.valid_words |= 1 << i;
-                    l.dirty_words |= 1 << i;
-                }
-            }
-        }
-        Some(t2 + 1)
+        None
     }
 
-    /// Attempts an SWcc invalidate entirely within the lane. Always
-    /// local (the instruction never sends messages) unless the region
-    /// profiler — machine-global state — is active.
-    pub fn try_invalidate(&mut self, core: CoreId, line: LineAddr, t: Cycle) -> Option<Cycle> {
-        if !self.fast || self.profiled {
-            return None;
-        }
-        debug_assert_eq!(self.cluster, core.cluster(self.cores_per_cluster));
-        let t2 = self.l2_ports.grant(t + 1);
-        self.instr_stats.invalidations_issued += 1;
-        if self.l2.peek(line).is_some_and(|l| l.incoherent) {
-            self.instr_stats.invalidations_useful += 1;
-            self.l2.invalidate(line);
-            self.back_invalidate_l1(line);
-        }
-        Some(t2 + 1)
+    fn span_start(&self) -> Option<u64> {
+        self.scratch.timeline.start()
+    }
+
+    fn l3_served(&mut self, start: Option<u64>, t_issue: Cycle) {
+        let lane = self.cluster.0;
+        self.scratch.timeline.service("l3_service", lane, start, t_issue);
+        self.scratch.timeline.note_l3_fast();
     }
 }
 
 impl Machine {
     /// One [`LaneScratch`] per cluster, armed exactly like the machine
-    /// registry so fast-path telemetry is recorded iff metrics are on.
-    pub fn new_lane_scratches(&self) -> Vec<LaneScratch> {
+    /// registry so phase-A telemetry is recorded iff metrics are on.
+    pub(crate) fn new_lane_scratches(&self) -> Vec<LaneScratch> {
         (0..self.cfg.clusters())
             .map(|_| LaneScratch {
                 metrics: if self.metrics.is_armed() {
@@ -2654,9 +2411,9 @@ impl Machine {
                     Registry::disarmed()
                 },
                 timeline: if self.timeline.is_armed() {
-                    cohesion_sim::timeline::LaneTimeline::armed(self.timeline.epoch_instant())
+                    LaneTimeline::armed(self.timeline.epoch_instant())
                 } else {
-                    cohesion_sim::timeline::LaneTimeline::disarmed()
+                    LaneTimeline::disarmed()
                 },
             })
             .collect()
@@ -2664,116 +2421,65 @@ impl Machine {
 
     /// Folds lane scratches back into the machine registry, in lane
     /// order (the fixed order keeps the merged snapshot deterministic).
-    pub fn absorb_lane_scratches(&mut self, scratches: &[LaneScratch]) {
+    pub(crate) fn absorb_lane_scratches(&mut self, scratches: &[LaneScratch]) {
         for s in scratches {
             self.metrics.merge_from(&s.metrics);
         }
     }
 
     /// Splits the machine into one [`LaneCtx`] per cluster. The lanes
-    /// borrow disjoint mutable slices — cluster-private caches, port
-    /// throttles, counters, **and the L3 banks / directory slices /
-    /// table caches / direct links each lane owns under the static
-    /// [`BankOwnership`] partition** — plus shared read-only state, so
-    /// they can be driven concurrently; `MainMemory` is `Sync` by
-    /// design.
+    /// borrow disjoint mutable state — their cluster **and the L3 banks
+    /// (with directory slices and table caches) and direct links each
+    /// lane owns under the static [`BankOwnership`] partition** — plus
+    /// shared read-only state, so they can be driven concurrently;
+    /// `MainMemory` is `Sync` by design.
     ///
     /// # Panics
     ///
     /// Panics unless `scratches` has exactly one entry per cluster.
-    pub fn lanes<'a>(&'a mut self, scratches: &'a mut [LaneScratch]) -> Vec<LaneCtx<'a>> {
-        let cfg = self.cfg;
-        let map = self.map;
-        let cpc = cfg.cores_per_cluster as usize;
-        let n = cfg.clusters() as usize;
+    pub(crate) fn lanes<'a>(&'a mut self, scratches: &'a mut [LaneScratch]) -> Vec<LaneCtx<'a>> {
+        let n = self.cfg.clusters() as usize;
         assert_eq!(scratches.len(), n, "one scratch per cluster");
         let fast = !self.tracelog.armed();
         let profiled = !self.profiler.is_empty();
-        let mode = self.mode;
         let Machine {
+            cfg,
+            map,
             processes,
             mem,
-            l1i,
-            l1d,
-            l2,
-            l2_ports,
-            l2_msgs,
-            instr_stats,
-            l3,
-            l3_ports,
-            dirs,
-            table_cache,
+            clusters,
+            banks,
             noc,
             ..
         } = self;
-        let processes: &[ProcessCtx] = processes;
-        let mem: &MainMemory = mem;
+        let cfg: &MachineConfig = cfg;
         let own = noc.ownership();
         debug_assert_eq!(own.lanes() as usize, n);
-        let lane_nocs = noc.lanes();
 
-        // Deal the banked state to its owning lane, in slot order (the
-        // same order `Noc::lanes` dealt the bank links).
-        fn deal<'a, T>(items: &'a mut [T], own: &BankOwnership) -> Vec<Vec<&'a mut T>> {
-            let mut out: Vec<Vec<&'a mut T>> = (0..own.lanes()).map(|_| Vec::new()).collect();
-            for (b, item) in items.iter_mut().enumerate() {
-                out[own.lane_of(b as u32) as usize].push(item);
-            }
-            out
+        // Deal the banks to their owning lane, in slot order (the same
+        // order `Noc::lanes` dealt the bank links).
+        let mut owned: Vec<Vec<&mut BankState>> = (0..n).map(|_| Vec::new()).collect();
+        for (b, bank) in banks.iter_mut().enumerate() {
+            owned[own.lane_of(b as u32) as usize].push(bank);
         }
-        let l3 = deal(l3, &own);
-        let l3_ports = deal(l3_ports, &own);
-        let mut dirs = dirs.as_mut().map(|d| deal(d, &own).into_iter());
-        let mut table_cache = table_cache.as_mut().map(|t| deal(t, &own).into_iter());
-
-        let mut out = Vec::with_capacity(n);
-        let zipped = l1i
-            .chunks_mut(cpc)
-            .zip(l1d.chunks_mut(cpc))
-            .zip(l2.iter_mut())
-            .zip(l2_ports.iter_mut())
-            .zip(l2_msgs.iter_mut())
-            .zip(instr_stats.iter_mut())
-            .zip(scratches.iter_mut())
-            .zip(l3)
-            .zip(l3_ports)
-            .zip(lane_nocs)
-            .enumerate();
-        for (c, (((((((((l1i, l1d), l2), l2_ports), l2_msgs), instr_stats), scratch), l3), l3_ports), noc)) in
-            zipped
-        {
-            out.push(LaneCtx {
+        let parts = clusters.iter_mut().zip(owned).zip(noc.lanes()).zip(scratches.iter_mut());
+        parts
+            .enumerate()
+            .map(|(c, (((state, banks), noc), scratch))| LaneCtx {
                 cluster: ClusterId(c as u32),
-                cores_per_cluster: cfg.cores_per_cluster,
-                l2_latency: cfg.l2_latency,
-                l3_latency: cfg.l3_latency,
-                word_granular_swcc: cfg.word_granular_swcc,
-                exclusive_state: cfg.exclusive_state,
-                silent_evictions: cfg.silent_evictions,
-                clusters: cfg.clusters(),
-                mode,
-                map,
+                cfg,
+                map: *map,
                 ownership: own,
                 fast,
                 profiled,
-                lane_l3: cfg.lane_owned_l3,
                 processes,
                 mem,
-                l1i,
-                l1d,
-                l2,
-                l2_ports,
-                l2_msgs,
-                instr_stats,
-                l3,
-                l3_ports,
-                dirs: dirs.as_mut().map(|it| it.next().expect("one per lane")),
-                table_cache: table_cache.as_mut().map(|it| it.next().expect("one per lane")),
+                state,
+                banks,
                 noc,
                 scratch,
-            });
-        }
-        out
+            })
+            .collect()
     }
 }
 
@@ -3069,6 +2775,48 @@ mod tests {
         assert_eq!(m.mem.read_word(a), 0, "still only in the L2");
         m.drain_for_verification();
         assert_eq!(m.mem.read_word(a), 0x5a5a);
+    }
+
+    /// A heap address homed on bank 0 (lane 0's) — or on another bank.
+    fn heap_addr_on(m: &Machine, lane0: bool) -> Addr {
+        (0..64u32)
+            .map(|i| heap_addr(m, 0x400 + 32 * i))
+            .find(|a| (m.config().address_map().bank_of(a.line()) == 0) == lane0)
+            .expect("both banks appear")
+    }
+
+    #[test]
+    fn lanes_run_the_shared_body_or_escalate_untouched() {
+        let mut serial = machine(DesignPoint::hwcc_ideal());
+        for lane0 in [true, false] {
+            let a = heap_addr_on(&serial, lane0);
+            // Cluster 1 reads the line first: it is L3-resident and
+            // read-shared, so a cluster-0 read needs no probe.
+            let (t, _) = serial.load(CoreId(8), a, 0);
+            let mut laned = serial.clone();
+            let before = laned.line_state_digest(a.line());
+            let mut scratches = laned.new_lane_scratches();
+            let got = load(&mut laned.lanes(&mut scratches)[0], CoreId(0), a, t + 10);
+            let want = serial.load(CoreId(0), a, t + 10);
+            if lane0 {
+                // Owned home bank: the lane commits exactly what the
+                // machine does.
+                assert_eq!(got, Ok(want));
+                assert_eq!(laned.line_state_digest(a.line()), serial.line_state_digest(a.line()));
+            } else {
+                assert_eq!(got, Err(EscalationCause::L3Remote));
+                assert_eq!(laned.line_state_digest(a.line()), before, "escalation mutated");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "owned by another lane")]
+    fn a_lane_touching_a_foreign_bank_panics() {
+        let mut m = machine(DesignPoint::hwcc_ideal());
+        let mut scratches = m.new_lane_scratches();
+        let mut lanes = m.lanes(&mut scratches);
+        let _ = Owner::bank(&mut lanes[0], BankId(1));
     }
 }
 

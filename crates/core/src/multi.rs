@@ -13,21 +13,24 @@
 //!
 //! Each job uses one global task queue of its own (the
 //! [`crate::config::TaskQueueModel`] work-stealing variant applies to the
-//! single-program executor in [`crate::run`]).
+//! single-program executor in [`crate::run`]). Jobs share that
+//! executor's core stepper, memory operations, task queues, and
+//! region-op issue; only the per-job event loop lives here.
 
-use cohesion_mem::addr::Addr;
 use cohesion_mem::mainmem::MainMemory;
 use cohesion_runtime::api::CohesionApi;
 use cohesion_runtime::layout::LayoutConfig;
-use cohesion_runtime::task::{AtomicKind, Op, Task};
+use cohesion_runtime::task::Task;
 use cohesion_sim::event::EventQueue;
 use cohesion_sim::ids::{ClusterId, CoreId};
 use cohesion_sim::stats::{CoherenceInstrStats, MessageCounts};
 use cohesion_sim::Cycle;
 
-use crate::config::MachineConfig;
-use crate::machine::{Machine, MachineError};
-use crate::run::{RunError, Workload};
+use crate::config::{MachineConfig, TaskQueueModel};
+use crate::machine::{Halt, Machine};
+use crate::run::{
+    apply_region_op, step, CoreState, RunError, Slice, TaskQueues, Workload, QUANTUM,
+};
 
 /// Per-job results of a multiprogrammed run.
 #[derive(Debug, Clone)]
@@ -52,29 +55,14 @@ struct JobState<'a> {
     golden: MainMemory,
     clusters: Vec<ClusterId>,
     cores: Vec<u32>,
-    queue_addr: Addr,
-    barrier_addr: Addr,
+    queues: TaskQueues,
     tasks: Vec<Task>,
-    next_task: usize,
     arrived: usize,
     phases: u32,
     tasks_total: u64,
     done: bool,
     finished_at: Cycle,
 }
-
-struct CoreState {
-    job: usize,
-    cluster: ClusterId,
-    stack_base: Addr,
-    code_base: Addr,
-    task: Option<(usize, usize)>,
-    fetch_counter: u32,
-    pc_line: u32,
-}
-
-const QUANTUM: Cycle = 64;
-const OPS_PER_FETCH: u32 = 8;
 
 /// Runs several workloads concurrently, space-partitioned over the
 /// machine's clusters. Returns one report per job, in input order.
@@ -125,10 +113,8 @@ pub fn run_workloads(
                 .map(ClusterId)
                 .collect(),
             cores: Vec::new(),
-            queue_addr,
-            barrier_addr,
+            queues: TaskQueues::new(cfg, TaskQueueModel::Global, queue_addr, barrier_addr),
             tasks: Vec::new(),
-            next_task: 0,
             arrived: 0,
             phases: 0,
             tasks_total: 0,
@@ -142,24 +128,14 @@ pub fn run_workloads(
     machine.boot();
 
     // Cores, partitioned by their cluster's job.
+    let job_of = |cluster: ClusterId| cluster.0 as usize % n_jobs;
     let mut cores: Vec<CoreState> = (0..cfg.cores)
         .map(|i| {
-            let cluster = CoreId(i).cluster(cfg.cores_per_cluster);
-            let job = (cluster.0 as usize) % n_jobs;
-            CoreState {
-                job,
-                cluster,
-                stack_base: machine.layout_of(job).stack_base(i),
-                code_base: machine.layout_of(job).code.start,
-                task: None,
-                fetch_counter: 0,
-                pc_line: 0,
-            }
+            let job = job_of(CoreId(i).cluster(cfg.cores_per_cluster));
+            jobs[job].cores.push(i);
+            CoreState::new(i, cfg, machine.layout_of(job))
         })
         .collect();
-    for (i, c) in cores.iter().enumerate() {
-        jobs[c.job].cores.push(i as u32);
-    }
 
     let mut events: EventQueue<u32> = EventQueue::new();
 
@@ -176,22 +152,36 @@ pub fn run_workloads(
         let Some((t, core_idx)) = events.pop() else {
             panic!("jobs pending but no events scheduled");
         };
-        let j = cores[core_idx as usize].job;
-        if jobs[j].done {
+        let cs = &mut cores[core_idx as usize];
+        let job = &mut jobs[job_of(cs.cluster)];
+        if job.done {
             continue;
         }
-        let arrived_all = step_core(&mut machine, &mut jobs[j], &mut cores, &mut events, core_idx, t)?;
+        let dequeue = |m: &mut Machine, cluster: ClusterId, t: &mut Cycle| {
+            job.queues.dequeue(m, cluster, t).map_err(Halt::Fail)
+        };
+        let stepped = step(&mut machine, cs, CoreId(core_idx), t, t + QUANTUM, &job.tasks, dequeue);
+        let arrived_all = match stepped? {
+            (end, Slice::Yield) => {
+                events.schedule(end, core_idx);
+                false
+            }
+            (_, Slice::Arrive) => {
+                job.arrived += 1;
+                job.arrived == job.cores.len()
+            }
+        };
         if arrived_all {
             // The job's barrier closed: next phase (or done).
             let release = t + machine.config().barrier_release_latency;
-            if !start_phase(&mut machine, &mut jobs[j], &mut cores, &mut events, release)? {
-                jobs[j].done = true;
-                jobs[j].finished_at = t;
+            if !start_phase(&mut machine, job, &mut cores, &mut events, release)? {
+                job.done = true;
+                job.finished_at = t;
                 live -= 1;
             }
-        }
-        if machine.config().check_invariants && arrived_all {
-            machine.check_invariants();
+            if machine.config().check_invariants {
+                machine.check_invariants();
+            }
         }
     }
 
@@ -237,144 +227,23 @@ fn start_phase(
     };
     let mut region_ops = job.api.take_region_ops();
     region_ops.extend(phase.region_ops.iter().copied());
-    // The job's runtime (its first cluster) applies the transitions.
-    let runtime_cluster = job.clusters[0];
+    // The job's runtime (its first cluster) applies the transitions to
+    // the job's own table.
     let mut t2 = t;
     for op in &region_ops {
-        t2 = apply_region_op(machine, runtime_cluster, op, t2)?;
+        let table = *machine
+            .fine_table_for(op.start)
+            .ok_or_else(|| RunError::Verify("region op outside every process".into()))?;
+        t2 = apply_region_op(machine, job.clusters[0], &table, op, t2)?;
     }
     job.tasks = phase.tasks;
     job.tasks_total += job.tasks.len() as u64;
-    job.next_task = 0;
+    job.queues.refill(job.tasks.len());
     job.arrived = 0;
     job.phases += 1;
     for &ci in &job.cores {
-        let cs = &mut cores[ci as usize];
-        cs.task = None;
-        cs.fetch_counter = 0;
+        cores[ci as usize].reset();
         events.schedule(t2.max(t), ci);
     }
     Ok(true)
-}
-
-fn apply_region_op(
-    machine: &mut Machine,
-    cluster: ClusterId,
-    op: &cohesion_runtime::task::RegionOp,
-    mut t: Cycle,
-) -> Result<Cycle, RunError> {
-    use cohesion_protocol::region::Domain;
-    use std::collections::BTreeMap;
-    // The job's own table: find by the op's address.
-    let fine = *machine
-        .fine_table_for(op.start)
-        .ok_or_else(|| RunError::Verify("region op outside every process".into()))?;
-    let mut masks: BTreeMap<u32, u32> = BTreeMap::new();
-    for line in op.lines() {
-        let slot = fine.slot_of(line);
-        *masks.entry(slot.word.0).or_insert(0) |= 1 << slot.bit;
-    }
-    for (word, mask) in masks {
-        let (kind, operand) = match op.to {
-            Domain::SWcc => (AtomicKind::Or, mask),
-            Domain::HWcc => (AtomicKind::And, !mask),
-        };
-        let (t_done, _) = machine.atomic(cluster, Addr(word), kind, operand, t)?;
-        t = t_done.max(t + 4);
-    }
-    Ok(t)
-}
-
-/// Advances one core; returns `true` when the *last* core of the job
-/// arrives at the barrier.
-fn step_core(
-    machine: &mut Machine,
-    job: &mut JobState<'_>,
-    cores: &mut [CoreState],
-    events: &mut EventQueue<u32>,
-    core_idx: u32,
-    mut t: Cycle,
-) -> Result<bool, RunError> {
-    let budget = t + QUANTUM;
-    let core = CoreId(core_idx);
-    loop {
-        if cores[core_idx as usize].task.is_none() {
-            let cluster = cores[core_idx as usize].cluster;
-            let (t2, _) = machine.atomic(cluster, job.queue_addr, AtomicKind::Add, 1, t)?;
-            t = t2 + machine.config().dequeue_overhead;
-            if job.next_task >= job.tasks.len() {
-                let (t3, _) = machine.atomic(cluster, job.barrier_addr, AtomicKind::Add, 1, t)?;
-                job.arrived += 1;
-                let _ = t3;
-                return Ok(job.arrived == job.cores.len());
-            }
-            let idx = job.next_task;
-            job.next_task += 1;
-            let cs = &mut cores[core_idx as usize];
-            cs.task = Some((idx, 0));
-            cs.pc_line = 0;
-            cs.fetch_counter = 0;
-        }
-
-        let (task_idx, mut op_idx) = cores[core_idx as usize].task.expect("set above");
-        let n_ops = job.tasks[task_idx].ops.len();
-        while op_idx < n_ops {
-            if t >= budget {
-                cores[core_idx as usize].task = Some((task_idx, op_idx));
-                events.schedule(t, core_idx);
-                return Ok(false);
-            }
-            {
-                let cs = &mut cores[core_idx as usize];
-                if cs.fetch_counter == 0 {
-                    let line_idx = cs.pc_line % job.tasks[task_idx].code_lines;
-                    cs.pc_line = cs.pc_line.wrapping_add(1);
-                    let pc = Addr(cs.code_base.0 + 32 * line_idx);
-                    t = machine.ifetch(core, pc, t);
-                }
-                cs.fetch_counter = (cs.fetch_counter + 1) % OPS_PER_FETCH;
-            }
-            let op = job.tasks[task_idx].ops[op_idx];
-            op_idx += 1;
-            t = execute_op(machine, core, &cores[core_idx as usize], op, t)?;
-        }
-        cores[core_idx as usize].task = None;
-    }
-}
-
-fn execute_op(
-    machine: &mut Machine,
-    core: CoreId,
-    cs: &CoreState,
-    op: Op,
-    t: Cycle,
-) -> Result<Cycle, RunError> {
-    Ok(match op {
-        Op::Load { addr, expect } => {
-            let (t2, v) = machine.load(core, addr, t);
-            if let Some(e) = expect {
-                if v != e {
-                    return Err(RunError::Machine(MachineError::StaleLoad {
-                        addr,
-                        got: v,
-                        expected: e,
-                    }));
-                }
-            }
-            t2
-        }
-        Op::Store { addr, value } => machine.store(core, addr, value, t),
-        Op::Compute { cycles } => t + cycles as Cycle,
-        Op::Atomic {
-            addr,
-            kind,
-            operand,
-        } => machine.atomic(cs.cluster, addr, kind, operand, t)?.0,
-        Op::StackLoad { offset } => machine.load(core, cs.stack_base.offset(offset), t).0,
-        Op::StackStore { offset, value } => {
-            machine.store(core, cs.stack_base.offset(offset), value, t)
-        }
-        Op::Flush { line } => machine.flush(core, line, t),
-        Op::Invalidate { line } => machine.invalidate(core, line, t),
-    })
 }

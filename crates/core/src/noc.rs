@@ -112,7 +112,7 @@ impl Noc {
     /// order). Only direct-route traffic flows through a view, so the
     /// shared tree links are untouched — which is exactly why phase A may
     /// use it.
-    pub fn lanes(&mut self) -> Vec<LaneNoc<'_>> {
+    pub(crate) fn lanes(&mut self) -> Vec<LaneNoc<'_>> {
         let mut out: Vec<LaneNoc<'_>> = self
             .up_cluster
             .iter_mut()
@@ -164,13 +164,13 @@ impl Noc {
 }
 
 /// One lane's mutable view of the interconnect: its own cluster links
-/// plus the bank links of every bank it owns, in slot order. Sending
-/// through a view is link-for-link identical to [`Noc::request`] /
+/// plus the bank links of every bank it owns, in slot order. A send
+/// through a view traverses the same links as [`Noc::request`] /
 /// [`Noc::reply`] on an owned `(cluster, bank)` pair, so a transaction
 /// serviced in phase A leaves exactly the link state a serial replay
 /// would have left.
 #[derive(Debug)]
-pub struct LaneNoc<'a> {
+pub(crate) struct LaneNoc<'a> {
     up_cluster: &'a mut Link,
     down_cluster: &'a mut Link,
     up_bank: Vec<&'a mut Link>,
@@ -181,7 +181,7 @@ impl LaneNoc<'_> {
     /// Sends one request from this lane's cluster to its owned bank at
     /// `slot`; returns the arrival cycle (mirrors [`Noc::request`] on a
     /// direct route).
-    pub fn request_direct(&mut self, slot: usize, now: Cycle) -> Cycle {
+    pub(crate) fn request_direct(&mut self, slot: usize, now: Cycle) -> Cycle {
         let t = self.up_cluster.send(now);
         self.up_bank[slot].send(t)
     }
@@ -189,7 +189,7 @@ impl LaneNoc<'_> {
     /// Sends one reply from the owned bank at `slot` back to this lane's
     /// cluster; returns the arrival cycle (mirrors [`Noc::reply`] on a
     /// direct route).
-    pub fn reply_direct(&mut self, slot: usize, now: Cycle) -> Cycle {
+    pub(crate) fn reply_direct(&mut self, slot: usize, now: Cycle) -> Cycle {
         let t = self.down_bank[slot].send(now);
         self.down_cluster.send(t)
     }

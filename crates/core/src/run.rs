@@ -3,7 +3,9 @@
 
 use cohesion_mem::addr::Addr;
 use cohesion_mem::mainmem::MainMemory;
+use cohesion_protocol::region::{Domain, FineTable};
 use cohesion_runtime::api::{CohesionApi, RuntimeError};
+use cohesion_runtime::layout::Layout;
 use cohesion_runtime::task::{AtomicKind, Op, Phase, RegionOp, Task};
 use cohesion_sim::crew::Crew;
 use cohesion_sim::event::EventQueue;
@@ -11,10 +13,14 @@ use cohesion_sim::ids::{ClusterId, CoreId};
 use cohesion_sim::shard::{BatchEvent, LaneQueues};
 use cohesion_sim::timeline::{CrewSpanLog, EscalationCause, Span, Track, CREW_RING_CAPACITY};
 use cohesion_sim::Cycle;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::config::MachineConfig;
-use crate::machine::{LaneCtx, LaneScratch, Machine, MachineError};
+use crate::config::{MachineConfig, TaskQueueModel};
+use crate::machine::{
+    flush, ifetch, invalidate, load, store, Halt, LaneCtx, LaneScratch, Machine, MachineError,
+    Owner,
+};
 use crate::report::RunReport;
 
 /// A workload: allocates its data through the Cohesion API, produces
@@ -173,13 +179,14 @@ impl From<MachineError> for RunError {
 /// slice lands at least `QUANTUM` cycles after the slice began, so a
 /// window of this width can be drained completely before any of the
 /// work it spawns becomes runnable — the conservative-PDES lookahead.
-const QUANTUM: Cycle = 64;
+pub(crate) const QUANTUM: Cycle = 64;
 
 /// Ops per instruction-fetch line: 32-byte lines hold 8 RISC instructions.
 const OPS_PER_FETCH: u32 = 8;
 
-struct CoreState {
-    cluster: ClusterId,
+/// One core's execution cursor.
+pub(crate) struct CoreState {
+    pub(crate) cluster: ClusterId,
     stack_base: Addr,
     code_base: Addr,
     /// Index into the phase's task vector + op cursor.
@@ -189,7 +196,146 @@ struct CoreState {
     /// escalates mid-quantum resumes with the fetch stream intact.
     fetch_counter: u32,
     pc_line: u32,
-    arrived: bool,
+}
+
+impl CoreState {
+    /// Core `core` of a machine built from `cfg`, running code and stack
+    /// from `layout`.
+    pub(crate) fn new(core: u32, cfg: &MachineConfig, layout: &Layout) -> Self {
+        CoreState {
+            cluster: CoreId(core).cluster(cfg.cores_per_cluster),
+            stack_base: layout.stack_base(core),
+            code_base: layout.code.start,
+            task: None,
+            fetch_counter: 0,
+            pc_line: 0,
+        }
+    }
+
+    /// Clears the cursor at a phase boundary: the core's next action is
+    /// a dequeue.
+    pub(crate) fn reset(&mut self) {
+        self.task = None;
+        self.fetch_counter = 0;
+    }
+}
+
+/// How a core slice ended without a simulated-program failure.
+pub(crate) enum Slice<E> {
+    /// The budget ran out; the caller re-schedules the core.
+    Yield,
+    /// The queues were empty: the core arrived at the barrier.
+    Arrive,
+    /// An access needs a resource the owner does not hold. The core's
+    /// cursor is saved and nothing of the access was performed, so the
+    /// slice resumes from the same cycle on an owner that holds it.
+    Escalate(E),
+}
+
+/// Advances one core from cycle `t` until `budget` expires, it arrives
+/// at the barrier, or an access escalates — on any [`Owner`]: the lane
+/// steps cores in phase A, the machine in phase B and in the
+/// multiprogram runner. `dequeue` picks the core's next task (or
+/// arrives it at the barrier, returning `None`), advancing the cycle
+/// past the queue traffic. Returns the cycle the core reached.
+///
+/// # Errors
+///
+/// A stale verified load or a fatal race.
+pub(crate) fn step<O: Owner>(
+    o: &mut O,
+    cs: &mut CoreState,
+    core: CoreId,
+    mut t: Cycle,
+    budget: Cycle,
+    tasks: &[Task],
+    mut dequeue: impl FnMut(&mut O, ClusterId, &mut Cycle) -> Result<Option<usize>, Halt<O::Escalation>>,
+) -> Result<(Cycle, Slice<O::Escalation>), MachineError> {
+    loop {
+        let (task_idx, mut op_idx) = match cs.task {
+            Some(cursor) => cursor,
+            None => match dequeue(o, cs.cluster, &mut t) {
+                Ok(Some(idx)) => {
+                    cs.pc_line = 0;
+                    cs.fetch_counter = 0;
+                    (idx, 0)
+                }
+                Ok(None) => return Ok((t, Slice::Arrive)),
+                Err(Halt::Escalate(cause)) => return Ok((t, Slice::Escalate(cause))),
+                Err(Halt::Fail(e)) => return Err(e),
+            },
+        };
+        let task = &tasks[task_idx];
+        while op_idx < task.ops.len() {
+            cs.task = Some((task_idx, op_idx));
+            if t >= budget {
+                return Ok((t, Slice::Yield));
+            }
+            // Instruction fetch stream: one line per OPS_PER_FETCH ops.
+            if cs.fetch_counter == 0 {
+                let pc = Addr(cs.code_base.0 + 32 * (cs.pc_line % task.code_lines));
+                t = match ifetch(o, core, pc, t) {
+                    Ok(t2) => t2,
+                    Err(cause) => return Ok((t, Slice::Escalate(cause))),
+                };
+                cs.pc_line = cs.pc_line.wrapping_add(1);
+                cs.fetch_counter = OPS_PER_FETCH;
+            }
+            t = match execute(o, cs, core, task.ops[op_idx], t) {
+                Ok(t2) => t2,
+                Err(Halt::Escalate(cause)) => return Ok((t, Slice::Escalate(cause))),
+                Err(Halt::Fail(e)) => {
+                    if std::env::var_os("COHESION_DEBUG").is_some() {
+                        eprintln!("op failure: core {core} task {task_idx} op {op_idx} at cycle {t}: {e}");
+                    }
+                    return Err(e);
+                }
+            };
+            op_idx += 1;
+            cs.fetch_counter -= 1;
+        }
+        cs.task = None;
+    }
+}
+
+/// Executes one trace operation for `core` at cycle `t`.
+fn execute<O: Owner>(
+    o: &mut O,
+    cs: &CoreState,
+    core: CoreId,
+    op: Op,
+    t: Cycle,
+) -> Result<Cycle, Halt<O::Escalation>> {
+    Ok(match op {
+        Op::Load { addr, expect } => {
+            let (t2, v) = load(o, core, addr, t).map_err(Halt::Escalate)?;
+            if let Some(e) = expect {
+                if v != e {
+                    return Err(Halt::Fail(MachineError::StaleLoad {
+                        addr,
+                        got: v,
+                        expected: e,
+                    }));
+                }
+            }
+            t2
+        }
+        Op::Store { addr, value } => store(o, core, addr, value, t).map_err(Halt::Escalate)?,
+        Op::Compute { cycles } => t + cycles as Cycle,
+        Op::Atomic {
+            addr,
+            kind,
+            operand,
+        } => o.atomic(cs.cluster, addr, kind, operand, t)?.0,
+        Op::StackLoad { offset } => {
+            load(o, core, cs.stack_base.offset(offset), t).map_err(Halt::Escalate)?.0
+        }
+        Op::StackStore { offset, value } => {
+            store(o, core, cs.stack_base.offset(offset), value, t).map_err(Halt::Escalate)?
+        }
+        Op::Flush { line } => flush(o, core, line, t).map_err(Halt::Escalate)?,
+        Op::Invalidate { line } => invalidate(o, core, line, t).map_err(Halt::Escalate)?,
+    })
 }
 
 /// Runs `workload` on a machine built from `cfg`; returns the full report.
@@ -218,7 +364,7 @@ pub fn run_workload(cfg: &MachineConfig, workload: &mut dyn Workload) -> Result<
     let queue_addr = api.malloc(64 * cfg.clusters().max(1))?;
     let barrier_addr = api.malloc(64)?;
 
-    let mut exec = Exec::new(cfg, &machine, queue_addr);
+    let mut exec = Exec::new(cfg, &machine, queue_addr, barrier_addr);
     let mut phases = 0u32;
     let mut tasks_total = 0u64;
     let mut ops_total = 0u64;
@@ -228,8 +374,8 @@ pub fn run_workload(cfg: &MachineConfig, workload: &mut dyn Workload) -> Result<
         region_ops.extend(phase.region_ops.iter().copied());
         tasks_total += phase.tasks.len() as u64;
         ops_total += phase.total_ops() as u64;
-        exec.run_phase(&mut machine, &region_ops, &phase.tasks, barrier_addr)?;
-        machine.note_barrier(exec.now());
+        exec.run_phase(&mut machine, &region_ops, &phase.tasks)?;
+        machine.note_barrier(exec.now);
         if cfg.check_invariants {
             machine.check_invariants();
         }
@@ -251,15 +397,7 @@ pub fn run_workload(cfg: &MachineConfig, workload: &mut dyn Workload) -> Result<
     }
 
     exec.finish(&mut machine);
-    if std::env::var_os("COHESION_OPCOST").is_some() {
-        let names = ["load", "store", "compute", "atomic", "stackld", "stackst", "flush", "inv", "?", "ifetch"];
-        for (i, (n, c)) in exec.op_cost.iter().enumerate() {
-            if *n > 0 {
-                eprintln!("opcost {:>8}: n={n:>9} avg={:.1}", names[i], *c as f64 / *n as f64);
-            }
-        }
-    }
-    let cycles = exec.now();
+    let cycles = exec.now;
     machine
         .metrics_mut()
         .add("events/scheduled", exec.lanes.scheduled());
@@ -280,26 +418,6 @@ pub fn run_workload(cfg: &MachineConfig, workload: &mut dyn Workload) -> Result<
     ))
 }
 
-/// The outcome of one core slice attempted on the fast (lane-local)
-/// path during the parallel half of a window.
-enum FastOutcome {
-    /// The slice ran out of budget and was re-scheduled into its lane's
-    /// queue; the payload is the slice's completion cycle.
-    Yielded(Cycle),
-    /// The slice hit an operation that needs machine-global state; the
-    /// core's cursor is saved and the slice must resume on the serial
-    /// path at `t` with the remaining `budget`. `cause` names the
-    /// global resource that forced serialization (timeline
-    /// attribution; escalation behaviour never depends on it).
-    Escalate {
-        t: Cycle,
-        budget: Cycle,
-        cause: EscalationCause,
-    },
-    /// A verified load observed a stale value on the fast path.
-    Fail(MachineError),
-}
-
 /// One lane's bundle of work for a window: its slice of the machine, its
 /// event queue, its cores, and the window's events (canonical order).
 struct LaneWork<'a> {
@@ -307,20 +425,25 @@ struct LaneWork<'a> {
     queue: &'a mut EventQueue<u32>,
     cores: &'a mut [CoreState],
     core_base: u32,
-    op_cost: &'a mut [(u64, u64); 10],
     /// `(batch_idx, cycle, core)` — this lane's events, in `(cycle, seq)`
     /// order (the lane-projection of the batch's canonical order).
     events: Vec<(usize, Cycle, u32)>,
-    /// Slices needing serial attention, as `(batch_idx, core, outcome)`.
-    out: Vec<(usize, u32, FastOutcome)>,
-    /// Max completion cycle over fast-completed (yielded) slices.
+    /// Slices needing serial attention, as `(batch_idx, core, resume)`:
+    /// `Ok((t, budget))` for a slice that escalated at `t` and resumes
+    /// on the machine with the rest of its `budget`, or the failure (a
+    /// stale verified load) that stopped the lane.
+    out: Vec<(usize, u32, Result<(Cycle, Cycle), MachineError>)>,
+    /// Max completion cycle over slices that yielded in phase A.
     max_end: Cycle,
 }
 
-/// Runs one lane's events for the window. Stops at the lane's first
-/// fast-path failure: a serial engine would never have executed this
-/// lane's later slices past an aborting error, and the merge in phase B
-/// surfaces the canonically-first error of the whole batch.
+/// Runs one lane's events for the window through the shared stepper,
+/// with task dequeue and barrier arrival (uncached atomics on the
+/// runtime's queue words) escalating as [`EscalationCause::TaskQueue`].
+/// Stops at the lane's first failure: a serial engine would never have
+/// executed this lane's later slices past an aborting error, and the
+/// merge in phase B surfaces the canonically-first error of the whole
+/// batch.
 fn process_lane(w: &mut LaneWork<'_>, tasks: &[Task]) {
     if w.events.is_empty() {
         return;
@@ -330,161 +453,150 @@ fn process_lane(w: &mut LaneWork<'_>, tasks: &[Task]) {
     let span_start = w.ctx.timeline().start();
     for i in 0..w.events.len() {
         let (bi, t, core) = w.events[i];
-        match fast_step(
-            &mut w.ctx, w.queue, w.cores, w.core_base, w.op_cost, core, t, tasks,
-        ) {
-            FastOutcome::Yielded(end) => {
+        let budget = t + QUANTUM;
+        let cs = &mut w.cores[(core - w.core_base) as usize];
+        let escalate_dequeue = |_: &mut LaneCtx<'_>, _: ClusterId, _: &mut Cycle| {
+            Err(Halt::Escalate(EscalationCause::TaskQueue))
+        };
+        match step(&mut w.ctx, cs, CoreId(core), t, budget, tasks, escalate_dequeue) {
+            Ok((end, Slice::Yield)) => {
+                w.queue.schedule(end, core);
                 w.ctx.timeline().note_fast();
                 w.max_end = w.max_end.max(end);
             }
-            out @ FastOutcome::Escalate { .. } => {
-                if let FastOutcome::Escalate { t, cause, .. } = out {
-                    w.ctx.timeline().note_escalation(lane, t, cause);
-                }
-                w.out.push((bi, core, out));
+            Ok((_, Slice::Arrive)) => unreachable!("barrier arrival escalates"),
+            Ok((t, Slice::Escalate(cause))) => {
+                w.ctx.timeline().note_escalation(lane, t, cause);
+                w.out.push((bi, core, Ok((t, budget))));
             }
-            out @ FastOutcome::Fail(_) => {
-                w.out.push((bi, core, out));
-                w.ctx.timeline().finish_phase_a(lane, span_start, window_cycle);
-                return;
+            Err(e) => {
+                w.out.push((bi, core, Err(e)));
+                break;
             }
         }
     }
     w.ctx.timeline().finish_phase_a(lane, span_start, window_cycle);
 }
 
-/// Advances one core by up to [`QUANTUM`] cycles using only lane-local
-/// state. Mirrors `Exec::step_core` exactly, except that every operation
-/// goes through the [`LaneCtx`] `try_*` methods and anything they cannot
-/// complete locally escalates with the core's cursor saved and no state
-/// touched for the escalated operation.
-#[allow(clippy::too_many_arguments)]
-fn fast_step(
-    ctx: &mut LaneCtx<'_>,
-    queue: &mut EventQueue<u32>,
-    cores: &mut [CoreState],
-    core_base: u32,
-    op_cost: &mut [(u64, u64); 10],
-    core_idx: u32,
-    t0: Cycle,
-    tasks: &[Task],
-) -> FastOutcome {
-    let budget = t0 + QUANTUM;
-    let mut t = t0;
-    let core = CoreId(core_idx);
-    let li = (core_idx - core_base) as usize;
-    loop {
-        let Some((task_idx, mut op_idx)) = cores[li].task else {
-            // Dequeue and barrier traffic is uncached-atomic: global.
-            return FastOutcome::Escalate {
-                t,
-                budget,
-                cause: EscalationCause::TaskQueue,
-            };
-        };
-        let task = &tasks[task_idx];
-        let stack_base = cores[li].stack_base;
-        while op_idx < task.ops.len() {
-            if t >= budget {
-                cores[li].task = Some((task_idx, op_idx));
-                queue.schedule(t, core_idx);
-                return FastOutcome::Yielded(t);
-            }
-            // Instruction fetch stream: one line per OPS_PER_FETCH ops.
-            if cores[li].fetch_counter == 0 {
-                let line_idx = cores[li].pc_line % task.code_lines;
-                let pc = Addr(cores[li].code_base.0 + 32 * line_idx);
-                match ctx.try_ifetch(core, pc, t) {
-                    Some(t2) => {
-                        op_cost[9].0 += 1;
-                        op_cost[9].1 += t2 - t;
-                        t = t2;
-                        let cs = &mut cores[li];
-                        cs.pc_line = cs.pc_line.wrapping_add(1);
-                        cs.fetch_counter = OPS_PER_FETCH;
-                    }
-                    None => {
-                        cores[li].task = Some((task_idx, op_idx));
-                        return FastOutcome::Escalate {
-                            t,
-                            budget,
-                            cause: ctx.l3_cause(pc.line()),
-                        };
-                    }
-                }
-            }
-            let op = task.ops[op_idx];
-            // `Err` carries the escalation cause: which global resource
-            // the op needs (see `EscalationCause` for the taxonomy).
-            let done: Result<(usize, Cycle), EscalationCause> = match op {
-                Op::Load { addr, expect } => match ctx.try_load(core, addr, t) {
-                    Some((t2, v)) => {
-                        if let Some(e) = expect {
-                            if v != e {
-                                cores[li].task = Some((task_idx, op_idx));
-                                return FastOutcome::Fail(MachineError::StaleLoad {
-                                    addr,
-                                    got: v,
-                                    expected: e,
-                                });
-                            }
-                        }
-                        Ok((0, t2))
-                    }
-                    None => Err(ctx.l3_cause(addr.line())), // line fetch
-                },
-                Op::Store { addr, value } => ctx
-                    .try_store(core, addr, value, t)
-                    .map(|t2| (1, t2))
-                    .ok_or(EscalationCause::Directory),
-                Op::Compute { cycles } => Ok((2, t + cycles as Cycle)),
-                Op::Atomic { .. } => Err(EscalationCause::Atomic), // uncached: global
-                Op::StackLoad { offset } => ctx
-                    .try_load(core, stack_base.offset(offset), t)
-                    .map(|(t2, _)| (4, t2))
-                    .ok_or_else(|| ctx.l3_cause(stack_base.offset(offset).line())),
-                Op::StackStore { offset, value } => ctx
-                    .try_store(core, stack_base.offset(offset), value, t)
-                    .map(|t2| (5, t2))
-                    .ok_or(EscalationCause::Directory),
-                Op::Flush { line } => ctx
-                    .try_flush(core, line, t)
-                    .map(|t2| (6, t2))
-                    .ok_or(EscalationCause::Noc),
-                Op::Invalidate { line } => ctx
-                    .try_invalidate(core, line, t)
-                    .map(|t2| (7, t2))
-                    .ok_or(EscalationCause::Directory),
-            };
-            match done {
-                Ok((kind, t2)) => {
-                    op_cost[kind].0 += 1;
-                    op_cost[kind].1 += t2 - t;
-                    t = t2;
-                    op_idx += 1;
-                    cores[li].fetch_counter -= 1;
-                }
-                Err(cause) => {
-                    cores[li].task = Some((task_idx, op_idx));
-                    return FastOutcome::Escalate { t, budget, cause };
-                }
-            }
+/// A program's task queues: the §4.1 dequeue and barrier traffic
+/// (uncached atomics on the runtime's control words) plus the host-side
+/// cursors that are the truth about which task is next.
+pub(crate) struct TaskQueues {
+    model: TaskQueueModel,
+    queue_addr: Addr,
+    barrier_addr: Addr,
+    dequeue_overhead: Cycle,
+    next_task: usize,
+    task_count: usize,
+    /// Per-cluster `[lo, hi)` cursors over a static block partition
+    /// (PerClusterStealing only).
+    cluster_queues: Vec<(usize, usize)>,
+}
+
+impl TaskQueues {
+    /// Queues under `model` on the control words at `queue_addr` (one
+    /// line per cluster queue) and `barrier_addr`.
+    pub(crate) fn new(
+        cfg: &MachineConfig,
+        model: TaskQueueModel,
+        queue_addr: Addr,
+        barrier_addr: Addr,
+    ) -> Self {
+        TaskQueues {
+            model,
+            queue_addr,
+            barrier_addr,
+            dequeue_overhead: cfg.dequeue_overhead,
+            next_task: 0,
+            task_count: 0,
+            cluster_queues: vec![(0, 0); cfg.clusters() as usize],
         }
-        cores[li].task = None;
-        // Loop back: the next action is a dequeue, which escalates above.
+    }
+
+    /// Re-arms the queues for a phase of `tasks` tasks.
+    pub(crate) fn refill(&mut self, tasks: usize) {
+        self.next_task = 0;
+        self.task_count = tasks;
+        // Static block partition for the per-cluster model: cluster c owns
+        // tasks [c*chunk, (c+1)*chunk) (the tail cluster takes the slack).
+        let chunk = tasks.div_ceil(self.cluster_queues.len().max(1));
+        for (c, q) in self.cluster_queues.iter_mut().enumerate() {
+            *q = ((c * chunk).min(tasks), ((c + 1) * chunk).min(tasks));
+        }
+    }
+
+    /// Dequeues the next task for a core of `cluster` at `*t`, or — when
+    /// the queues are empty — arrives it at the barrier (`None`).
+    pub(crate) fn dequeue(
+        &mut self,
+        machine: &mut Machine,
+        cluster: ClusterId,
+        t: &mut Cycle,
+    ) -> Result<Option<usize>, MachineError> {
+        let picked = match self.model {
+            TaskQueueModel::Global => {
+                // One atomic to the single global queue word.
+                let (t2, _old) = machine.atomic(cluster, self.queue_addr, AtomicKind::Add, 1, *t)?;
+                *t = t2 + self.dequeue_overhead;
+                (self.next_task < self.task_count).then(|| {
+                    self.next_task += 1;
+                    self.next_task - 1
+                })
+            }
+            TaskQueueModel::PerClusterStealing => {
+                // Dequeue from the cluster's own queue word first
+                // (per-cluster words live on distinct lines), then
+                // steal round-robin (§2.3: stolen tasks pull their
+                // data via HWcc or pay SWcc refetch).
+                let n = self.cluster_queues.len();
+                let mut picked = None;
+                for probe in 0..n {
+                    let victim = (cluster.0 as usize + probe) % n;
+                    if self.cluster_queues[victim].0 >= self.cluster_queues[victim].1 {
+                        continue;
+                    }
+                    let qaddr = Addr(self.queue_addr.0 + 64 * victim as u32);
+                    let (t2, _old) = machine.atomic(cluster, qaddr, AtomicKind::Add, 1, *t)?;
+                    *t = t2 + self.dequeue_overhead;
+                    // Re-check after the (simulated) atomic: the
+                    // host-side cursor is the truth.
+                    let q = &mut self.cluster_queues[victim];
+                    if q.0 < q.1 {
+                        picked = Some(q.0);
+                        q.0 += 1;
+                        break;
+                    }
+                }
+                if picked.is_none() {
+                    // One last atomic on the own queue observed empty.
+                    let qaddr = Addr(self.queue_addr.0 + 64 * (cluster.0 as usize % n) as u32);
+                    let (t2, _old) = machine.atomic(cluster, qaddr, AtomicKind::Add, 0, *t)?;
+                    *t = t2;
+                }
+                picked
+            }
+        };
+        if picked.is_none() {
+            // Queues empty: arrive at the barrier.
+            let (t3, _) = machine.atomic(cluster, self.barrier_addr, AtomicKind::Add, 1, *t)?;
+            *t = t3;
+        }
+        Ok(picked)
     }
 }
 
 /// The per-run execution engine (cores + queue + barrier), sharded.
 ///
 /// Simulated time advances in windows of [`QUANTUM`] cycles. Each window
-/// is drained in two phases:
+/// is drained in two phases, both through the one core stepper
+/// ([`step`]) and the one body per memory operation:
 ///
 /// * **Phase A (parallel):** every cluster lane steps its own cores
-///   through the window on lane-local state only ([`fast_step`]), in the
-///   lane-projection of the batch's canonical `(cycle, lane, seq)`
-///   order. Anything touching global state (L3, directory, NoC,
-///   uncached atomics, task queues) escalates untouched.
+///   through the window on its [`LaneCtx`], in the lane-projection of
+///   the batch's canonical `(cycle, lane, seq)` order. Each access
+///   first passes the lane's admission check; anything needing state
+///   the lane does not own (another lane's bank, DRAM, cross-cluster
+///   probes, uncached atomics, task queues) escalates untouched.
 /// * **Phase B (serial):** escalated slices resume on the full machine
 ///   in canonical batch order.
 ///
@@ -493,13 +605,9 @@ fn fast_step(
 /// so simulated results are byte-identical at any [`MachineConfig::shards`]
 /// value. `shards` only chooses how many host threads run phase A.
 struct Exec {
-    /// Per-op-kind `(count, total cycles)` latency accounting, reported to
-    /// stderr when `COHESION_OPCOST` is set.
-    op_cost: [(u64, u64); 10],
-    /// Per-lane `op_cost` shards, folded into `op_cost` by `finish`.
-    lane_op_cost: Vec<[(u64, u64); 10]>,
     cores: Vec<CoreState>,
     lanes: LaneQueues<u32>,
+    queues: TaskQueues,
     /// Per-lane metrics scratches, absorbed into the machine by `finish`.
     scratches: Vec<LaneScratch>,
     /// Worker threads for phase A; `None` = run lanes inline (shards=1).
@@ -510,33 +618,16 @@ struct Exec {
     cores_per_cluster: usize,
     /// Reused window buffer.
     batch: Vec<BatchEvent<u32>>,
-    queue_addr: Addr,
     now: Cycle,
-    // Per-phase state.
-    next_task: usize,
-    task_count: usize,
-    /// Per-cluster `[lo, hi)` cursors over a static block partition
-    /// (PerClusterStealing only).
-    cluster_queues: Vec<(usize, usize)>,
-    queue_model: crate::config::TaskQueueModel,
+    /// Cores arrived at the current phase's barrier.
     arrived: u32,
-    dequeue_overhead: Cycle,
     barrier_release: Cycle,
 }
 
 impl Exec {
-    fn new(cfg: &MachineConfig, machine: &Machine, queue_addr: Addr) -> Self {
-        let layout = machine.layout();
+    fn new(cfg: &MachineConfig, machine: &Machine, queue_addr: Addr, barrier_addr: Addr) -> Self {
         let cores = (0..cfg.cores)
-            .map(|i| CoreState {
-                cluster: CoreId(i).cluster(cfg.cores_per_cluster),
-                stack_base: layout.stack_base(i),
-                code_base: layout.code.start,
-                task: None,
-                fetch_counter: 0,
-                pc_line: 0,
-                arrived: false,
-            })
+            .map(|i| CoreState::new(i, cfg, machine.layout()))
             .collect();
         let n_lanes = cfg.clusters().max(1) as usize;
         // `shards = 0` means auto: size the crew from the host's available
@@ -555,10 +646,9 @@ impl Exec {
             ))
         });
         Exec {
-            op_cost: [(0, 0); 10],
-            lane_op_cost: vec![[(0, 0); 10]; n_lanes],
             cores,
             lanes: LaneQueues::new(n_lanes),
+            queues: TaskQueues::new(cfg, cfg.task_queue, queue_addr, barrier_addr),
             scratches: machine.new_lane_scratches(),
             crew: (threads > 1).then(|| match &crew_trace {
                 Some(tr) => Crew::traced(threads - 1, Arc::clone(tr)),
@@ -567,34 +657,15 @@ impl Exec {
             crew_trace,
             cores_per_cluster: cfg.cores_per_cluster as usize,
             batch: Vec::new(),
-            queue_addr,
             now: 0,
-            next_task: 0,
-            task_count: 0,
-            cluster_queues: vec![(0, 0); (cfg.cores / cfg.cores_per_cluster) as usize],
-            queue_model: cfg.task_queue,
             arrived: 0,
-            dequeue_overhead: cfg.dequeue_overhead,
             barrier_release: cfg.barrier_release_latency,
         }
     }
 
-    fn now(&self) -> Cycle {
-        self.now
-    }
-
-    /// Folds per-lane accounting back into the run-wide totals (op-cost
-    /// shards and metrics scratches, both in fixed lane order).
+    /// Folds per-lane accounting back into the machine (metrics
+    /// scratches in fixed lane order, crew spans).
     fn finish(&mut self, machine: &mut Machine) {
-        for lane in &self.lane_op_cost {
-            for (i, (n, c)) in lane.iter().enumerate() {
-                self.op_cost[i].0 += n;
-                self.op_cost[i].1 += c;
-            }
-        }
-        for lane in self.lane_op_cost.iter_mut() {
-            *lane = [(0, 0); 10];
-        }
         machine.absorb_lane_scratches(&self.scratches);
         if let Some(trace) = &self.crew_trace {
             machine.timeline_mut().absorb_crew(trace);
@@ -606,35 +677,20 @@ impl Exec {
         machine: &mut Machine,
         region_ops: &[RegionOp],
         tasks: &[Task],
-        barrier_addr: Addr,
     ) -> Result<(), RunError> {
-        // 1. Core 0 (the runtime) applies the domain transitions: pipelined
-        //    atomics to the fine-grain table, blocking only when the
-        //    directory had real work (§3.6).
+        // 1. Core 0 (the runtime) applies the domain transitions.
+        let fine = *machine.fine_table();
         let mut t = self.now;
         for op in region_ops {
-            t = apply_region_op(machine, op, t)?;
+            t = apply_region_op(machine, ClusterId(0), &fine, op, t)?;
         }
 
         // 2. Release all cores into the dequeue loop.
-        self.next_task = 0;
-        self.task_count = tasks.len();
-        // Static block partition for the per-cluster model: cluster c owns
-        // tasks [c*chunk, (c+1)*chunk) (the tail cluster takes the slack).
-        let n_clusters = self.cluster_queues.len();
-        let chunk = tasks.len().div_ceil(n_clusters.max(1));
-        for (c, q) in self.cluster_queues.iter_mut().enumerate() {
-            *q = ((c * chunk).min(tasks.len()), ((c + 1) * chunk).min(tasks.len()));
-        }
+        self.queues.refill(tasks.len());
         self.arrived = 0;
-        for c in self.cores.iter_mut() {
-            c.task = None;
-            c.arrived = false;
-            c.fetch_counter = 0;
-        }
-        for i in 0..self.cores.len() as u32 {
-            let lane = self.cores[i as usize].cluster.0 as usize;
-            self.lanes.schedule(lane, t, i);
+        for (i, c) in self.cores.iter_mut().enumerate() {
+            c.reset();
+            self.lanes.schedule(c.cluster.0 as usize, t, i as u32);
         }
 
         // 3. Pump windows until every core reaches the barrier.
@@ -646,7 +702,7 @@ impl Exec {
                 .expect("cores pending but no events scheduled");
             machine.timeline_mut().note_window();
 
-            // Phase A: lanes step their cores on lane-local state.
+            // Phase A: lanes step their cores on lane-owned state.
             let n_lanes = self.lanes.lanes();
             let mut per_lane: Vec<Vec<(usize, Cycle, u32)>> = vec![Vec::new(); n_lanes];
             for (bi, ev) in batch.iter().enumerate() {
@@ -657,15 +713,13 @@ impl Exec {
                 .into_iter()
                 .zip(self.lanes.as_mut_slice().iter_mut())
                 .zip(self.cores.chunks_mut(self.cores_per_cluster))
-                .zip(self.lane_op_cost.iter_mut())
                 .zip(per_lane)
                 .enumerate()
-                .map(|(c, ((((ctx, queue), cores), op_cost), events))| LaneWork {
+                .map(|(c, (((ctx, queue), cores), events))| LaneWork {
                     ctx,
                     queue,
                     cores,
                     core_base: (c * self.cores_per_cluster) as u32,
-                    op_cost,
                     events,
                     out: Vec::new(),
                     max_end: 0,
@@ -689,7 +743,7 @@ impl Exec {
                     }
                 }
             }
-            let mut serial: Vec<(usize, u32, FastOutcome)> = Vec::new();
+            let mut serial = Vec::new();
             for w in works.iter_mut() {
                 phase_end = phase_end.max(w.max_end);
                 serial.append(&mut w.out);
@@ -709,23 +763,23 @@ impl Exec {
             let span_b = (!serial.is_empty())
                 .then(|| machine.timeline().start())
                 .flatten();
-            let window_cycle = serial
-                .first()
-                .map(|&(_, _, ref out)| match *out {
-                    FastOutcome::Escalate { t, .. } => t,
-                    _ => 0,
-                })
-                .unwrap_or(0);
-            for (_bi, core, out) in serial {
-                match out {
-                    FastOutcome::Escalate { t, budget, cause: _ } => {
-                        let end =
-                            self.step_core(machine, core, t, budget, tasks, barrier_addr)?;
-                        phase_end = phase_end.max(end);
-                    }
-                    FastOutcome::Fail(e) => return Err(RunError::Machine(e)),
-                    FastOutcome::Yielded(_) => unreachable!("yields are not escalated"),
+            let window_cycle = match serial.first() {
+                Some((_, _, Ok((t, _)))) => *t,
+                _ => 0,
+            };
+            for (_bi, core, resume) in serial {
+                let (t, budget) = resume?;
+                let cs = &mut self.cores[core as usize];
+                let queues = &mut self.queues;
+                let dequeue = |m: &mut Machine, cluster: ClusterId, t: &mut Cycle| {
+                    queues.dequeue(m, cluster, t).map_err(Halt::Fail)
+                };
+                let (end, slice) = step(machine, cs, CoreId(core), t, budget, tasks, dequeue)?;
+                match slice {
+                    Slice::Yield => self.lanes.schedule(cs.cluster.0 as usize, end, core),
+                    Slice::Arrive => self.arrived += 1,
                 }
+                phase_end = phase_end.max(end);
             }
             if let Some(t0) = span_b {
                 let now = machine.timeline().now_us();
@@ -745,199 +799,29 @@ impl Exec {
         self.now = phase_end + self.barrier_release;
         Ok(())
     }
-
-    /// Advances one core on the full machine until `budget` expires, it
-    /// arrives at the barrier, or it errors. Returns the core's
-    /// barrier-arrival time when it arrives (else the current time).
-    fn step_core(
-        &mut self,
-        machine: &mut Machine,
-        core_idx: u32,
-        mut t: Cycle,
-        budget: Cycle,
-        tasks: &[Task],
-        barrier_addr: Addr,
-    ) -> Result<Cycle, RunError> {
-        let core = CoreId(core_idx);
-        loop {
-            // Need a task?
-            if self.cores[core_idx as usize].task.is_none() {
-                let cluster = self.cores[core_idx as usize].cluster;
-                let picked = match self.queue_model {
-                    crate::config::TaskQueueModel::Global => {
-                        // One atomic to the single global queue word.
-                        let (t2, _old) =
-                            machine.atomic(cluster, self.queue_addr, AtomicKind::Add, 1, t)?;
-                        t = t2 + self.dequeue_overhead;
-                        if self.next_task >= self.task_count {
-                            None
-                        } else {
-                            let idx = self.next_task;
-                            self.next_task += 1;
-                            Some(idx)
-                        }
-                    }
-                    crate::config::TaskQueueModel::PerClusterStealing => {
-                        // Dequeue from the cluster's own queue word first
-                        // (per-cluster words live on distinct lines), then
-                        // steal round-robin (§2.3: stolen tasks pull their
-                        // data via HWcc or pay SWcc refetch).
-                        let n = self.cluster_queues.len();
-                        let mut picked = None;
-                        for probe in 0..n {
-                            let victim = (cluster.0 as usize + probe) % n;
-                            if self.cluster_queues[victim].0 >= self.cluster_queues[victim].1 {
-                                continue;
-                            }
-                            let qaddr = Addr(self.queue_addr.0 + 64 * victim as u32);
-                            let (t2, _old) =
-                                machine.atomic(cluster, qaddr, AtomicKind::Add, 1, t)?;
-                            t = t2 + self.dequeue_overhead;
-                            // Re-check after the (simulated) atomic: the
-                            // host-side cursor is the truth.
-                            let q = &mut self.cluster_queues[victim];
-                            if q.0 < q.1 {
-                                picked = Some(q.0);
-                                q.0 += 1;
-                                break;
-                            }
-                        }
-                        if picked.is_none() {
-                            // One last atomic on the own queue observed empty.
-                            let qaddr = Addr(self.queue_addr.0 + 64 * (cluster.0 as usize % n) as u32);
-                            let (t2, _old) =
-                                machine.atomic(cluster, qaddr, AtomicKind::Add, 0, t)?;
-                            t = t2;
-                        }
-                        picked
-                    }
-                };
-                let Some(idx) = picked else {
-                    // Queues empty: arrive at the barrier.
-                    let (t3, _) =
-                        machine.atomic(cluster, barrier_addr, AtomicKind::Add, 1, t)?;
-                    self.cores[core_idx as usize].arrived = true;
-                    self.arrived += 1;
-                    return Ok(t3);
-                };
-                let cs = &mut self.cores[core_idx as usize];
-                cs.task = Some((idx, 0));
-                cs.pc_line = 0;
-                cs.fetch_counter = 0;
-            }
-
-            // Execute ops.
-            let (task_idx, mut op_idx) = self.cores[core_idx as usize].task.expect("set above");
-            let task = &tasks[task_idx];
-            while op_idx < task.ops.len() {
-                if t >= budget {
-                    let cs = &mut self.cores[core_idx as usize];
-                    cs.task = Some((task_idx, op_idx));
-                    let lane = cs.cluster.0 as usize;
-                    self.lanes.schedule(lane, t, core_idx);
-                    return Ok(t);
-                }
-                // Instruction fetch stream: one line per OPS_PER_FETCH ops.
-                {
-                    let cs = &mut self.cores[core_idx as usize];
-                    if cs.fetch_counter == 0 {
-                        let line_idx = cs.pc_line % task.code_lines;
-                        cs.pc_line = cs.pc_line.wrapping_add(1);
-                        cs.fetch_counter = OPS_PER_FETCH;
-                        let pc = Addr(cs.code_base.0 + 32 * line_idx);
-                        let t0 = t;
-                        t = machine.ifetch(core, pc, t);
-                        self.op_cost[9].0 += 1;
-                        self.op_cost[9].1 += t - t0;
-                    }
-                }
-                let op = task.ops[op_idx];
-                op_idx += 1;
-                let t0 = t;
-                let kind = match op {
-                    Op::Load { .. } => 0,
-                    Op::Store { .. } => 1,
-                    Op::Compute { .. } => 2,
-                    Op::Atomic { .. } => 3,
-                    Op::StackLoad { .. } => 4,
-                    Op::StackStore { .. } => 5,
-                    Op::Flush { .. } => 6,
-                    Op::Invalidate { .. } => 7,
-                };
-                t = self.execute_op(machine, core, op, t).map_err(|e| {
-                    if std::env::var_os("COHESION_DEBUG").is_some() {
-                        eprintln!(
-                            "op failure: core {core} task {task_idx} op {} at cycle {t}: {e}",
-                            op_idx - 1
-                        );
-                    }
-                    e
-                })?;
-                self.op_cost[kind].0 += 1;
-                self.op_cost[kind].1 += t - t0;
-                self.cores[core_idx as usize].fetch_counter -= 1;
-            }
-            self.cores[core_idx as usize].task = None;
-        }
-    }
-
-    fn execute_op(
-        &mut self,
-        machine: &mut Machine,
-        core: CoreId,
-        op: Op,
-        t: Cycle,
-    ) -> Result<Cycle, RunError> {
-        let cs = &self.cores[core.0 as usize];
-        let cluster = cs.cluster;
-        let stack_base = cs.stack_base;
-        Ok(match op {
-            Op::Load { addr, expect } => {
-                let (t2, v) = machine.load(core, addr, t);
-                if let Some(e) = expect {
-                    if v != e {
-                        return Err(RunError::Machine(MachineError::StaleLoad {
-                            addr,
-                            got: v,
-                            expected: e,
-                        }));
-                    }
-                }
-                t2
-            }
-            Op::Store { addr, value } => machine.store(core, addr, value, t),
-            Op::Compute { cycles } => t + cycles as Cycle,
-            Op::Atomic {
-                addr,
-                kind,
-                operand,
-            } => machine.atomic(cluster, addr, kind, operand, t)?.0,
-            Op::StackLoad { offset } => machine.load(core, stack_base.offset(offset), t).0,
-            Op::StackStore { offset, value } => {
-                machine.store(core, stack_base.offset(offset), value, t)
-            }
-            Op::Flush { line } => machine.flush(core, line, t),
-            Op::Invalidate { line } => machine.invalidate(core, line, t),
-        })
-    }
 }
 
-/// Applies one region op: pipelined atomics to the fine-grain table, issued
-/// by the runtime on cluster 0.
+/// Applies one region op: pipelined atomics to the fine-grain `table`,
+/// issued by the runtime on `cluster`.
 ///
 /// Lines are grouped by table word — a single `atom.or`/`atom.and` with a
 /// multi-bit mask transitions up to 32 lines; the directory still serializes
 /// the per-line transitions when it snoops the update (§3.6: "if a request
 /// for multiple line state transitions occurs, the directory serializes the
-/// requests line-by-line").
-fn apply_region_op(machine: &mut Machine, op: &RegionOp, mut t: Cycle) -> Result<Cycle, RunError> {
-    use cohesion_protocol::region::Domain;
-    use std::collections::BTreeMap;
-    let fine = *machine.fine_table();
+/// requests line-by-line"). The runtime issues the next table update
+/// after a fixed interval and blocks only at the end, for whichever
+/// transition finished last.
+pub(crate) fn apply_region_op(
+    machine: &mut Machine,
+    cluster: ClusterId,
+    table: &FineTable,
+    op: &RegionOp,
+    mut t: Cycle,
+) -> Result<Cycle, MachineError> {
     // word address -> bit mask of lines transitioning in this op.
     let mut masks: BTreeMap<u32, u32> = BTreeMap::new();
     for line in op.lines() {
-        let slot = fine.slot_of(line);
+        let slot = table.slot_of(line);
         *masks.entry(slot.word.0).or_insert(0) |= 1 << slot.bit;
     }
     let mut done_max = t;
@@ -946,11 +830,8 @@ fn apply_region_op(machine: &mut Machine, op: &RegionOp, mut t: Cycle) -> Result
             Domain::SWcc => (AtomicKind::Or, mask),
             Domain::HWcc => (AtomicKind::And, !mask),
         };
-        let (t_done, _) =
-            machine.atomic(ClusterId(0), cohesion_mem::addr::Addr(word), kind, operand, t)?;
+        let (t_done, _) = machine.atomic(cluster, Addr(word), kind, operand, t)?;
         done_max = done_max.max(t_done);
-        // Issue the next table update after a fixed issue interval; the
-        // directory transitions proceed in the background.
         t += 4;
     }
     Ok(t.max(done_max))

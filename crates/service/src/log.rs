@@ -8,13 +8,15 @@
 //!
 //! so operators can grep one event class (`event=conn-error`) or one
 //! request (`req=42`) out of a busy log. Values containing spaces,
-//! quotes, or `=` are double-quoted with backslash escapes; everything
-//! else is emitted bare. Ordering is exactly the caller's field order —
-//! lines are deterministic given the same fields, which is what the unit
-//! tests pin.
+//! quotes, `=`, or control characters are double-quoted with JSON
+//! string escapes; everything else is emitted bare. Ordering is exactly
+//! the caller's field order — lines are deterministic given the same
+//! fields, which is what the unit tests pin.
 //!
 //! This is stderr-only operational output: nothing here feeds any
 //! deterministic document, so wall-clock values are fine to log.
+
+use crate::wire::json_escape;
 
 /// Formats one log line (without the trailing newline): the `cohesiond`
 /// prefix, the event, then each field in order.
@@ -37,6 +39,8 @@ pub fn log(event: &str, fields: &[(&str, String)]) {
 /// Quotes a value when it contains characters that would break
 /// whitespace-splitting (`space`, `"`, `=`, control characters); bare
 /// otherwise. Empty values are quoted so the key is visibly present.
+/// Quoted values use JSON string escapes, so no control character
+/// reaches the log raw.
 fn quote(value: &str) -> String {
     let needs_quoting = value.is_empty()
         || value
@@ -45,20 +49,7 @@ fn quote(value: &str) -> String {
     if !needs_quoting {
         return value.to_string();
     }
-    let mut out = String::with_capacity(value.len() + 2);
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", json_escape(value))
 }
 
 #[cfg(test)]
@@ -75,11 +66,16 @@ mod tests {
     fn messy_values_are_quoted_and_escaped() {
         let line = format_line(
             "conn-error",
-            &[("conn", "3".into()), ("error", "bad \"frame\"\nx=y".into())],
+            &[
+                ("conn", "3".into()),
+                ("error", "bad \"frame\"\nx=y".into()),
+                ("peer", "esc\u{1b}[2Jnul\u{0}".into()),
+            ],
         );
         assert_eq!(
             line,
-            "cohesiond event=conn-error conn=3 error=\"bad \\\"frame\\\"\\nx=y\""
+            "cohesiond event=conn-error conn=3 error=\"bad \\\"frame\\\"\\nx=y\" \
+             peer=\"esc\\u001b[2Jnul\\u0000\""
         );
     }
 

@@ -306,22 +306,9 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
     Ok(Frame { msg, payload })
 }
 
-/// Escapes `s` for inclusion inside a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// Escapes `s` for inclusion inside a JSON string literal (the shared
+/// workspace escaper).
+pub use cohesion_sim::metrics::json_escape;
 
 /// Builds an [`MsgType::Error`] payload.
 pub fn error_payload(code: ErrorCode, message: &str) -> String {

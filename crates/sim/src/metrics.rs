@@ -506,12 +506,12 @@ impl Snapshot {
         let counters: Vec<String> = self
             .counters
             .iter()
-            .map(|(k, v)| format!("\"{}\":{}", esc(k), v))
+            .map(|(k, v)| format!("\"{}\":{}", json_escape(k), v))
             .collect();
         let gauges: Vec<String> = self
             .gauges
             .iter()
-            .map(|(k, v)| format!("\"{}\":{}", esc(k), fmt_f64(*v)))
+            .map(|(k, v)| format!("\"{}\":{}", json_escape(k), fmt_f64(*v)))
             .collect();
         let hists: Vec<String> = self
             .histograms
@@ -519,7 +519,7 @@ impl Snapshot {
             .map(|(k, h)| {
                 format!(
                     "\"{}\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
-                    esc(k),
+                    json_escape(k),
                     h.count,
                     h.sum,
                     h.min,
@@ -536,7 +536,7 @@ impl Snapshot {
             .iter()
             .map(|(k, v)| {
                 let vals: Vec<String> = v.iter().map(|x| x.to_string()).collect();
-                format!("\"{}\":[{}]", esc(k), vals.join(","))
+                format!("\"{}\":[{}]", json_escape(k), vals.join(","))
             })
             .collect();
         let marks: Vec<String> = self
@@ -544,7 +544,7 @@ impl Snapshot {
             .iter()
             .map(|(k, v)| {
                 let pairs: Vec<String> = v.iter().map(|(c, x)| format!("[{c},{x}]")).collect();
-                format!("\"{}\":[{}]", esc(k), pairs.join(","))
+                format!("\"{}\":[{}]", json_escape(k), pairs.join(","))
             })
             .collect();
         format!(
@@ -571,9 +571,10 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-/// Minimal JSON string escaping for metric names (backslash, quote, and
-/// control characters; names are ASCII in practice).
-fn esc(s: &str) -> String {
+/// Escapes `s` for inclusion inside a JSON string literal: quote,
+/// backslash, `\n`/`\r`/`\t`, and every other control character below
+/// 0x20 as `\u00XX`. The one JSON string escaper of the workspace.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -751,7 +752,7 @@ mod tests {
 
     #[test]
     fn json_escapes_special_characters() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
         assert_eq!(fmt_f64(-0.0001), "0.000");
     }
 }

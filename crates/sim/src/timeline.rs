@@ -52,7 +52,7 @@ pub const CREW_RING_CAPACITY: usize = 8192;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum EscalationCause {
     /// A data or instruction line had to be fetched from the L3 and its
-    /// home bank is owned by this lane, but a fast-path precondition
+    /// home bank is owned by this lane, but a lane admission precondition
     /// failed (DRAM fill with a dirty victim, directory probe, profiled
     /// run, …) so the fetch still serialized.
     L3Local,
